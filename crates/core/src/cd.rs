@@ -1,4 +1,6 @@
-//! Contrastive-divergence (CD-k) training for the plain RBM / GRBM baselines.
+//! Contrastive-divergence (CD-k) training for the plain RBM / GRBM baselines,
+//! and the one mini-batch update ([`TrainStep`]) that this trainer, the sls
+//! trainer and the streaming trainer all run.
 //!
 //! The update rules are Eqs. 10–12 of the paper, with the standard practical
 //! additions of mini-batches, momentum and L2 weight decay (Hinton's
@@ -8,10 +10,12 @@
 //! low-variance CD-1 estimator.
 
 use crate::model::BoltzmannMachine;
-use crate::{RbmError, Result, TrainConfig};
+use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
+use crate::{RbmError, RbmParams, Result, TrainConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy, WorkerPool};
+use sls_consensus::LocalSupervision;
+use sls_linalg::{Matrix, MatrixRandomExt, ParallelPolicy};
 
 /// Per-epoch training statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -138,34 +142,36 @@ impl Velocity {
             b: vec![0.0; n_hidden],
         }
     }
+
+    /// Folds one step into the velocity and the parameters, one in-place
+    /// pass per parameter group (see [`fold`]). Each closure maps an
+    /// element's index and its parameter value to that element's step.
+    fn apply(
+        &mut self,
+        params: &mut RbmParams,
+        momentum: f64,
+        step_w: impl Fn(usize, f64) -> f64,
+        step_a: impl Fn(usize, f64) -> f64,
+        step_b: impl Fn(usize, f64) -> f64,
+    ) {
+        fold(
+            params.weights.as_mut_slice(),
+            self.w.as_mut_slice(),
+            momentum,
+            step_w,
+        );
+        fold(&mut params.visible_bias, &mut self.a, momentum, step_a);
+        fold(&mut params.hidden_bias, &mut self.b, momentum, step_b);
+    }
 }
 
-/// Applies one momentum-smoothed update with the given gradients (already
-/// scaled by the learning rate by the caller).
-pub(crate) fn apply_update<M: BoltzmannMachine>(
-    model: &mut M,
-    velocity: &mut Velocity,
-    momentum: f64,
-    step_w: &Matrix,
-    step_a: &[f64],
-    step_b: &[f64],
-) -> Result<()> {
-    velocity.w = velocity.w.scale(momentum).add(step_w)?;
-    for (v, s) in velocity.a.iter_mut().zip(step_a) {
-        *v = momentum * *v + s;
+/// One parameter group's momentum update, in place: `v ← m·v + step(i, p)`,
+/// then `p ← p + v`. `step` sees each parameter's value before its update.
+fn fold(params: &mut [f64], velocity: &mut [f64], momentum: f64, step: impl Fn(usize, f64) -> f64) {
+    for (i, (p, v)) in params.iter_mut().zip(velocity).enumerate() {
+        *v = momentum * *v + step(i, *p);
+        *p += *v;
     }
-    for (v, s) in velocity.b.iter_mut().zip(step_b) {
-        *v = momentum * *v + s;
-    }
-    let params = model.params_mut();
-    params.weights = params.weights.add(&velocity.w)?;
-    for (p, v) in params.visible_bias.iter_mut().zip(&velocity.a) {
-        *p += v;
-    }
-    for (p, v) in params.hidden_bias.iter_mut().zip(&velocity.b) {
-        *p += v;
-    }
-    Ok(())
 }
 
 /// Shuffles (or not) the row order for one epoch.
@@ -178,6 +184,171 @@ pub(crate) fn epoch_order(n: usize, shuffle: bool, rng: &mut impl Rng) -> Vec<us
         }
     }
     order
+}
+
+/// The sls half of the update rule: the local-cluster membership of every
+/// (global) row and the weights of the CD and constrict/disperse terms.
+#[derive(Debug)]
+struct Supervised {
+    membership: Vec<Option<usize>>,
+    n_clusters: usize,
+    eta: f64,
+    sls_lr: f64,
+}
+
+/// The one training update rule, shared by [`CdTrainer`],
+/// [`crate::SlsTrainer`] and [`crate::StreamTrainer`]. Each mini-batch takes
+/// the CD gradient and, when supervised, the constrict/disperse gradient of
+/// both the data and the reconstruction phase (Eqs. 33–35), and folds the
+/// step into the momentum velocity and the parameters in place.
+#[derive(Debug)]
+pub(crate) struct TrainStep<'a> {
+    config: TrainConfig,
+    supervised: Option<Supervised>,
+    parallel: &'a ParallelPolicy,
+}
+
+impl<'a> TrainStep<'a> {
+    /// A step for a run over `n_instances` rows, supervised or not.
+    ///
+    /// # Errors
+    ///
+    /// * [`RbmError::InvalidConfig`] for an invalid [`SlsConfig`].
+    /// * [`RbmError::SupervisionOutOfRange`] if the supervision references
+    ///   instances at or beyond `n_instances`.
+    pub(crate) fn new(
+        config: TrainConfig,
+        supervision: Option<(&LocalSupervision, &SlsConfig)>,
+        n_instances: usize,
+        parallel: &'a ParallelPolicy,
+    ) -> Result<Self> {
+        let supervised = match supervision {
+            None => None,
+            Some((supervision, sls)) => {
+                sls.validate()?;
+                if let Some(&max_index) = supervision.covered_indices().last() {
+                    if max_index >= n_instances {
+                        return Err(RbmError::SupervisionOutOfRange {
+                            index: max_index,
+                            instances: n_instances,
+                        });
+                    }
+                }
+                Some(Supervised {
+                    membership: supervision.membership(),
+                    n_clusters: supervision.n_clusters(),
+                    eta: sls.eta,
+                    sls_lr: sls.resolve_supervision_lr(config.learning_rate),
+                })
+            }
+        };
+        Ok(Self {
+            config,
+            supervised,
+            parallel,
+        })
+    }
+
+    /// Applies one update per `batch_size` slice of `order` (row indices
+    /// into `data`). `offset` is the global index of `data`'s first row: 0
+    /// in memory, the chunk's start when streaming.
+    pub(crate) fn run<M: BoltzmannMachine>(
+        &self,
+        model: &mut M,
+        velocity: &mut Velocity,
+        data: &Matrix,
+        order: &[usize],
+        offset: usize,
+        rng: &mut impl Rng,
+    ) -> Result<()> {
+        let TrainConfig {
+            learning_rate: lr,
+            weight_decay,
+            momentum,
+            ..
+        } = self.config;
+        for rows in order.chunks(self.config.batch_size) {
+            let batch = data.select_rows(rows)?;
+            let cd = cd_batch_gradients(model, &batch, self.config.cd_steps, self.parallel, rng)?;
+            let dw = cd.dw.as_slice();
+            match &self.supervised {
+                None => {
+                    // ε(<vh>_data - <vh>_recon - λ·w)
+                    velocity.apply(
+                        model.params_mut(),
+                        momentum,
+                        |i, w| lr * (dw[i] + -weight_decay * w),
+                        |i, _| lr * cd.da[i],
+                        |i, _| lr * cd.db[i],
+                    );
+                }
+                Some(sup) => {
+                    // Ascend the CD objective (weight η·ε), descend the
+                    // constrict/disperse loss of both phases (weight
+                    // (1-η)·ε_sls); the visible biases get only the CD term.
+                    let clusters = clusters_in_batch(rows, offset, &sup.membership, sup.n_clusters);
+                    let [data_phase, recon_phase] = [
+                        (&batch, &cd.hidden_data),
+                        (&cd.visible_recon, &cd.hidden_recon),
+                    ]
+                    .map(|(visible, hidden)| {
+                        sls_batch_gradients(
+                            model.params(),
+                            visible,
+                            hidden,
+                            &clusters,
+                            self.parallel,
+                        )
+                    });
+                    let mut sls = data_phase?;
+                    sls.accumulate(&recon_phase?)?;
+                    let (eta, sls_lr, sls_dw) = (sup.eta, sup.sls_lr, sls.dw.as_slice());
+                    velocity.apply(
+                        model.params_mut(),
+                        momentum,
+                        |i, w| {
+                            (eta * lr * dw[i] + -(1.0 - eta) * sls_lr * sls_dw[i])
+                                + lr * (-weight_decay * w)
+                        },
+                        |i, _| eta * lr * cd.da[i],
+                        |i, _| eta * lr * cd.db[i] - (1.0 - eta) * sls_lr * sls.db[i],
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The in-memory epoch loop shared by [`CdTrainer`] and
+/// [`crate::SlsTrainer`]: per epoch, one (possibly shuffled) pass of
+/// [`TrainStep::run`] over `data`, a divergence check and the
+/// reconstruction error.
+pub(crate) fn train_in_memory<M: BoltzmannMachine>(
+    model: &mut M,
+    data: &Matrix,
+    config: TrainConfig,
+    supervision: Option<(&LocalSupervision, &SlsConfig)>,
+    parallel: &ParallelPolicy,
+    rng: &mut impl Rng,
+) -> Result<TrainingHistory> {
+    model.params().check_data(data)?;
+    let step = TrainStep::new(config, supervision, data.rows(), parallel)?;
+    let (n_visible, n_hidden) = (model.params().n_visible(), model.params().n_hidden());
+    let mut velocity = Velocity::zeros(n_visible, n_hidden);
+    let mut history = TrainingHistory::default();
+    for epoch in 0..config.epochs {
+        let order = epoch_order(data.rows(), config.shuffle, rng);
+        step.run(model, &mut velocity, data, &order, 0, rng)?;
+        if !model.params().is_finite() {
+            return Err(RbmError::Diverged { epoch });
+        }
+        history.epochs.push(EpochStats {
+            epoch,
+            reconstruction_error: model.reconstruction_error_with(data, parallel)?,
+        });
+    }
+    Ok(history)
 }
 
 /// Plain contrastive-divergence trainer for [`crate::Rbm`] and
@@ -198,23 +369,17 @@ impl CdTrainer {
     /// Returns [`RbmError::InvalidConfig`] if the configuration is invalid.
     pub fn new(config: TrainConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self::with_parallel_policy(config, ParallelPolicy::global()))
+        Ok(Self {
+            config,
+            parallel: ParallelPolicy::global(),
+        })
     }
 
     /// Sets the parallel execution policy for the training hot path. Results
     /// are bitwise identical for every policy.
-    pub fn with_parallel(self, parallel: ParallelPolicy) -> Self {
-        Self::with_parallel_policy(self.config, parallel)
-    }
-
-    fn with_parallel_policy(config: TrainConfig, parallel: ParallelPolicy) -> Self {
-        if parallel.pool {
-            // Warm the persistent pool once at trainer construction: every
-            // mini-batch of every epoch then reuses the same workers instead
-            // of paying per-call thread spawns (or a first-batch pool start).
-            let _ = WorkerPool::global();
-        }
-        Self { config, parallel }
+    pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
+        self.parallel = parallel;
+        self
     }
 
     /// The active configuration.
@@ -240,41 +405,7 @@ impl CdTrainer {
         data: &Matrix,
         rng: &mut impl Rng,
     ) -> Result<TrainingHistory> {
-        model.params().check_data(data)?;
-        let (n_visible, n_hidden) = (model.params().n_visible(), model.params().n_hidden());
-        let mut velocity = Velocity::zeros(n_visible, n_hidden);
-        let mut history = TrainingHistory::default();
-        let lr = self.config.learning_rate;
-
-        for epoch in 0..self.config.epochs {
-            let order = epoch_order(data.rows(), self.config.shuffle, rng);
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch = data.select_rows(chunk)?;
-                let grads =
-                    cd_batch_gradients(model, &batch, self.config.cd_steps, &self.parallel, rng)?;
-                // ε(<vh>_data - <vh>_recon) - ε·λ·w  (weight decay)
-                let decay = model.params().weights.scale(-self.config.weight_decay);
-                let step_w = grads.dw.add(&decay)?.scale(lr);
-                let step_a: Vec<f64> = grads.da.iter().map(|g| lr * g).collect();
-                let step_b: Vec<f64> = grads.db.iter().map(|g| lr * g).collect();
-                apply_update(
-                    model,
-                    &mut velocity,
-                    self.config.momentum,
-                    &step_w,
-                    &step_a,
-                    &step_b,
-                )?;
-            }
-            if !model.params().is_finite() {
-                return Err(RbmError::Diverged { epoch });
-            }
-            history.epochs.push(EpochStats {
-                epoch,
-                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
-            });
-        }
-        Ok(history)
+        train_in_memory(model, data, self.config, None, &self.parallel, rng)
     }
 }
 
@@ -509,30 +640,12 @@ mod tests {
 
     #[test]
     fn momentum_accumulates_velocity() {
-        let mut r = rng();
-        let mut rbm = Rbm::new(2, 2, &mut r);
-        rbm.params_mut().weights = Matrix::zeros(2, 2);
-        let mut velocity = Velocity::zeros(2, 2);
-        let step = Matrix::filled(2, 2, 1.0);
-        apply_update(
-            &mut rbm,
-            &mut velocity,
-            0.5,
-            &step,
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-        )
-        .unwrap();
-        apply_update(
-            &mut rbm,
-            &mut velocity,
-            0.5,
-            &step,
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-        )
-        .unwrap();
+        let mut weights = vec![0.0; 4];
+        let mut velocity = vec![0.0; 4];
+        fold(&mut weights, &mut velocity, 0.5, |_, _| 1.0);
+        fold(&mut weights, &mut velocity, 0.5, |_, _| 1.0);
         // First update: +1, second: +1.5 (momentum carries half of the first).
-        assert!((rbm.params().weights[(0, 0)] - 2.5).abs() < 1e-12);
+        assert!((weights[0] - 2.5).abs() < 1e-12);
+        assert_eq!(velocity, vec![1.5; 4]);
     }
 }

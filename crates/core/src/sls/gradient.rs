@@ -49,7 +49,7 @@ impl SlsBatchGradients {
     /// Adds another gradient in place (used to combine the data-phase and
     /// reconstruction-phase terms).
     pub(crate) fn accumulate(&mut self, other: &SlsBatchGradients) -> Result<()> {
-        self.dw = self.dw.add(&other.dw)?;
+        self.dw.add_scaled_assign(1.0, &other.dw)?;
         for (a, b) in self.db.iter_mut().zip(&other.db) {
             *a += b;
         }
@@ -100,10 +100,10 @@ pub(crate) fn sls_batch_gradients(
             }
         }
         // ∂/∂W of Σ_{s<t} ‖h_s - h_t‖² = 2 m · VᵀE ; normalised by N_h.
-        let dw_k = v_rows
-            .matmul_transpose_left_with(&e, parallel)?
-            .scale(2.0 * m / nh);
-        grads.dw = grads.dw.add(&dw_k)?;
+        grads.dw.add_scaled_assign(
+            2.0 * m / nh,
+            &v_rows.matmul_transpose_left_with(&e, parallel)?,
+        )?;
         // ∂/∂b is the same expression without the v factor.
         for (j, col_sum) in e.column_sums().iter().enumerate() {
             grads.db[j] += 2.0 * m / nh * col_sum;

@@ -1,10 +1,10 @@
-//! The sls training loop: CD-1 plus the constrict/disperse gradients
-//! (Eqs. 33–35).
+//! The sls trainer: the shared CD training step with the constrict/disperse
+//! gradients of a local supervision switched on (Eqs. 33–35).
 
-use crate::cd::{apply_update, cd_batch_gradients, epoch_order, Velocity};
+use crate::cd::train_in_memory;
 use crate::model::BoltzmannMachine;
-use crate::sls::{sls_batch_gradients, SlsConfig};
-use crate::{EpochStats, RbmError, Result, TrainConfig, TrainingHistory};
+use crate::sls::SlsConfig;
+use crate::{Result, TrainConfig, TrainingHistory};
 use rand::Rng;
 use sls_consensus::LocalSupervision;
 use sls_linalg::{Matrix, ParallelPolicy};
@@ -29,7 +29,7 @@ impl SlsTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`RbmError::InvalidConfig`] if either configuration is
+    /// Returns [`crate::RbmError::InvalidConfig`] if either configuration is
     /// invalid.
     pub fn new(train: TrainConfig, sls: SlsConfig) -> Result<Self> {
         train.validate()?;
@@ -38,24 +38,13 @@ impl SlsTrainer {
             train,
             sls,
             parallel: ParallelPolicy::global(),
-        }
-        .warmed())
+        })
     }
 
     /// Sets the parallel execution policy for the training hot path. Results
     /// are bitwise identical for every policy.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
-        self.warmed()
-    }
-
-    /// Warms the persistent pool once at trainer construction when the
-    /// policy uses it, so every mini-batch of every epoch reuses the same
-    /// workers.
-    fn warmed(self) -> Self {
-        if self.parallel.pool {
-            let _ = sls_linalg::WorkerPool::global();
-        }
         self
     }
 
@@ -79,9 +68,9 @@ impl SlsTrainer {
     /// # Errors
     ///
     /// * Shape errors for incompatible data.
-    /// * [`RbmError::SupervisionOutOfRange`] if the supervision references
+    /// * [`crate::RbmError::SupervisionOutOfRange`] if the supervision references
     ///   instances that do not exist.
-    /// * [`RbmError::Diverged`] if parameters become non-finite.
+    /// * [`crate::RbmError::Diverged`] if parameters become non-finite.
     pub fn train<M: BoltzmannMachine>(
         &self,
         model: &mut M,
@@ -89,100 +78,29 @@ impl SlsTrainer {
         supervision: &LocalSupervision,
         rng: &mut impl Rng,
     ) -> Result<TrainingHistory> {
-        model.params().check_data(data)?;
-        if let Some(&max_index) = supervision.covered_indices().last() {
-            if max_index >= data.rows() {
-                return Err(RbmError::SupervisionOutOfRange {
-                    index: max_index,
-                    instances: data.rows(),
-                });
-            }
-        }
-
-        let membership = supervision.membership();
-        let n_local_clusters = supervision.n_clusters();
-        let (n_visible, n_hidden) = (model.params().n_visible(), model.params().n_hidden());
-        let mut velocity = Velocity::zeros(n_visible, n_hidden);
-        let mut history = TrainingHistory::default();
-
-        let eta = self.sls.eta;
-        let lr = self.train.learning_rate;
-        let sls_lr = self.sls.resolve_supervision_lr(lr);
-
-        for epoch in 0..self.train.epochs {
-            let order = epoch_order(data.rows(), self.train.shuffle, rng);
-            for chunk in order.chunks(self.train.batch_size) {
-                let batch = data.select_rows(chunk)?;
-                // Local clusters restricted to this batch, expressed as batch
-                // row indices.
-                let batch_clusters = clusters_in_batch(chunk, &membership, n_local_clusters);
-
-                let cd =
-                    cd_batch_gradients(model, &batch, self.train.cd_steps, &self.parallel, rng)?;
-
-                // Supervision gradients on both phases (Eqs. 27–32): the data
-                // phase uses (V, H_data); the reconstruction phase uses
-                // (V_recon, H_recon) for the same instances.
-                let mut sls_grads = sls_batch_gradients(
-                    model.params(),
-                    &batch,
-                    &cd.hidden_data,
-                    &batch_clusters,
-                    &self.parallel,
-                )?;
-                let recon_grads = sls_batch_gradients(
-                    model.params(),
-                    &cd.visible_recon,
-                    &cd.hidden_recon,
-                    &batch_clusters,
-                    &self.parallel,
-                )?;
-                sls_grads.accumulate(&recon_grads)?;
-
-                // Combine: ascend the CD objective, descend the sls loss.
-                let decay = model.params().weights.scale(-self.train.weight_decay);
-                let step_w = cd
-                    .dw
-                    .scale(eta * lr)
-                    .add(&sls_grads.dw.scale(-(1.0 - eta) * sls_lr))?
-                    .add(&decay.scale(lr))?;
-                let step_a: Vec<f64> = cd.da.iter().map(|g| eta * lr * g).collect();
-                let step_b: Vec<f64> = cd
-                    .db
-                    .iter()
-                    .zip(&sls_grads.db)
-                    .map(|(cd_g, sls_g)| eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g)
-                    .collect();
-                apply_update(
-                    model,
-                    &mut velocity,
-                    self.train.momentum,
-                    &step_w,
-                    &step_a,
-                    &step_b,
-                )?;
-            }
-            if !model.params().is_finite() {
-                return Err(RbmError::Diverged { epoch });
-            }
-            history.epochs.push(EpochStats {
-                epoch,
-                reconstruction_error: model.reconstruction_error_with(data, &self.parallel)?,
-            });
-        }
-        Ok(history)
+        train_in_memory(
+            model,
+            data,
+            self.train,
+            Some((supervision, &self.sls)),
+            &self.parallel,
+            rng,
+        )
     }
 }
 
 /// Groups the positions of `chunk` (batch row indices) by local cluster.
+/// `chunk` holds row indices into data whose first row has global index
+/// `offset`; `membership` is indexed by global index.
 pub(crate) fn clusters_in_batch(
     chunk: &[usize],
+    offset: usize,
     membership: &[Option<usize>],
     n_clusters: usize,
 ) -> Vec<Vec<usize>> {
     let mut clusters = vec![Vec::new(); n_clusters];
-    for (row, &dataset_index) in chunk.iter().enumerate() {
-        if let Some(Some(cluster)) = membership.get(dataset_index) {
+    for (row, &index) in chunk.iter().enumerate() {
+        if let Some(Some(cluster)) = membership.get(offset + index) {
             clusters[*cluster].push(row);
         }
     }
@@ -192,7 +110,7 @@ pub(crate) fn clusters_in_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Grbm, Rbm};
+    use crate::{Grbm, Rbm, RbmError};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_consensus::{LocalSupervision, VotingPolicy};
@@ -403,9 +321,15 @@ mod tests {
         let membership = vec![Some(0), None, Some(1), Some(0), None, Some(1)];
         // Batch contains dataset indices 5, 0, 1, 3.
         let chunk = vec![5, 0, 1, 3];
-        let clusters = clusters_in_batch(&chunk, &membership, 2);
+        let clusters = clusters_in_batch(&chunk, 0, &membership, 2);
         assert_eq!(clusters[0], vec![1, 3]); // dataset 0 -> row 1, dataset 3 -> row 3
         assert_eq!(clusters[1], vec![0]); // dataset 5 -> row 0
+
+        // A chunk whose first row is global index 2: local 3 is global 5,
+        // local 0 is global 2, local 1 is global 3.
+        let clusters = clusters_in_batch(&[3, 0, 1], 2, &membership, 2);
+        assert_eq!(clusters[0], vec![2]);
+        assert_eq!(clusters[1], vec![0, 1]);
     }
 
     #[test]

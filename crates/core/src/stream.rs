@@ -39,9 +39,9 @@
 //! covered by any local cluster and receive only the CD gradient — exactly
 //! the semantics the in-memory trainer gives uncovered instances.
 
-use crate::cd::{apply_update, cd_batch_gradients, epoch_order, Velocity};
+use crate::cd::{epoch_order, TrainStep, Velocity};
 use crate::model::BoltzmannMachine;
-use crate::sls::{clusters_in_batch, sls_batch_gradients, SlsConfig};
+use crate::sls::SlsConfig;
 use crate::{
     EpochStats, FittedPreprocessor, Grbm, ModelKind, Rbm, RbmError, RbmParams, Result, TrainConfig,
     TrainingHistory, VisibleKind,
@@ -351,10 +351,11 @@ impl StreamTrainer {
     /// the configured epochs complete, or an error occurs.
     ///
     /// Every chunk is read from `source`, pushed through `preprocessor`, and
-    /// consumed in mini-batches with the same update rules as the in-memory
-    /// trainers: plain CD for [`ModelKind::Rbm`] / [`ModelKind::Grbm`], the
-    /// combined CD + constrict/disperse step for the sls kinds (which
-    /// require `supervision`). Returns the per-epoch history of the epochs
+    /// consumed in mini-batches by the training step the in-memory trainers
+    /// share: plain CD for [`ModelKind::Rbm`] / [`ModelKind::Grbm`], CD plus
+    /// the constrict/disperse gradients for the sls kinds (which require
+    /// `supervision`). The chunk's rows are mapped to their global stream
+    /// indices before the supervision is consulted. Returns the per-epoch history of the epochs
     /// *completed by this call*; the reconstruction error is the row-weighted
     /// mean over all chunks.
     ///
@@ -397,40 +398,21 @@ impl StreamTrainer {
             }
             _ => {}
         }
-        if let Some((sup, sls)) = supervision {
-            sls.validate()?;
-            if let Some(&max_index) = sup.covered_indices().last() {
-                if max_index >= source.n_instances() {
-                    return Err(RbmError::SupervisionOutOfRange {
-                        index: max_index,
-                        instances: source.n_instances(),
-                    });
-                }
-            }
-        }
+        let step = TrainStep::new(
+            checkpoint.train_config,
+            supervision,
+            source.n_instances(),
+            &self.parallel,
+        )?;
 
         match checkpoint.model_kind.visible_kind() {
             VisibleKind::Binary => {
                 let mut model = Rbm::from_params(checkpoint.params.clone());
-                self.drive(
-                    &mut model,
-                    checkpoint,
-                    source,
-                    preprocessor,
-                    supervision,
-                    limit,
-                )
+                self.drive(&mut model, checkpoint, source, preprocessor, &step, limit)
             }
             VisibleKind::Gaussian => {
                 let mut model = Grbm::from_params(checkpoint.params.clone());
-                self.drive(
-                    &mut model,
-                    checkpoint,
-                    source,
-                    preprocessor,
-                    supervision,
-                    limit,
-                )
+                self.drive(&mut model, checkpoint, source, preprocessor, &step, limit)
             }
         }
     }
@@ -444,14 +426,13 @@ impl StreamTrainer {
         checkpoint: &mut TrainCheckpoint,
         source: &dyn ChunkSource,
         preprocessor: &FittedPreprocessor,
-        supervision: Option<(&LocalSupervision, &SlsConfig)>,
+        step: &TrainStep<'_>,
         limit: StreamLimit,
     ) -> Result<TrainingHistory> {
         let cfg = checkpoint.train_config;
         let base_seed = checkpoint.base_seed;
         let n_chunks = source.n_chunks();
         let chunk_cap = source.chunk_size();
-        let sup_data = supervision.map(|(sup, sls)| (sup.membership(), sup.n_clusters(), sls));
 
         let mut velocity = Velocity {
             w: checkpoint.velocity_w.clone(),
@@ -475,75 +456,15 @@ impl StreamTrainer {
                 let raw = source.read_chunk(chunk_index)?;
                 let data = preprocessor.transform_with(&raw, &self.parallel)?;
                 model.params().check_data(&data)?;
-                let global_start = chunk_index * chunk_cap;
-
                 let order = epoch_order(data.rows(), cfg.shuffle, &mut rng);
-                for batch_rows in order.chunks(cfg.batch_size) {
-                    let batch = data.select_rows(batch_rows)?;
-                    let cd =
-                        cd_batch_gradients(model, &batch, cfg.cd_steps, &self.parallel, &mut rng)?;
-                    let decay = model.params().weights.scale(-cfg.weight_decay);
-                    let (step_w, step_a, step_b) = match &sup_data {
-                        None => {
-                            // Plain CD, exactly as `CdTrainer`.
-                            let lr = cfg.learning_rate;
-                            (
-                                cd.dw.add(&decay)?.scale(lr),
-                                cd.da.iter().map(|g| lr * g).collect::<Vec<f64>>(),
-                                cd.db.iter().map(|g| lr * g).collect::<Vec<f64>>(),
-                            )
-                        }
-                        Some((membership, n_local_clusters, sls)) => {
-                            // Combined CD + constrict/disperse, exactly as
-                            // `SlsTrainer`, with batch rows mapped to their
-                            // global stream indices first.
-                            let global: Vec<usize> =
-                                batch_rows.iter().map(|&r| global_start + r).collect();
-                            let batch_clusters =
-                                clusters_in_batch(&global, membership, *n_local_clusters);
-                            let mut sls_grads = sls_batch_gradients(
-                                model.params(),
-                                &batch,
-                                &cd.hidden_data,
-                                &batch_clusters,
-                                &self.parallel,
-                            )?;
-                            let recon_grads = sls_batch_gradients(
-                                model.params(),
-                                &cd.visible_recon,
-                                &cd.hidden_recon,
-                                &batch_clusters,
-                                &self.parallel,
-                            )?;
-                            sls_grads.accumulate(&recon_grads)?;
-                            let eta = sls.eta;
-                            let lr = cfg.learning_rate;
-                            let sls_lr = sls.resolve_supervision_lr(lr);
-                            (
-                                cd.dw
-                                    .scale(eta * lr)
-                                    .add(&sls_grads.dw.scale(-(1.0 - eta) * sls_lr))?
-                                    .add(&decay.scale(lr))?,
-                                cd.da.iter().map(|g| eta * lr * g).collect::<Vec<f64>>(),
-                                cd.db
-                                    .iter()
-                                    .zip(&sls_grads.db)
-                                    .map(|(cd_g, sls_g)| {
-                                        eta * lr * cd_g - (1.0 - eta) * sls_lr * sls_g
-                                    })
-                                    .collect::<Vec<f64>>(),
-                            )
-                        }
-                    };
-                    apply_update(
-                        model,
-                        &mut velocity,
-                        cfg.momentum,
-                        &step_w,
-                        &step_a,
-                        &step_b,
-                    )?;
-                }
+                step.run(
+                    model,
+                    &mut velocity,
+                    &data,
+                    &order,
+                    chunk_index * chunk_cap,
+                    &mut rng,
+                )?;
                 if !model.params().is_finite() {
                     return Err(RbmError::Diverged { epoch });
                 }

@@ -146,8 +146,8 @@ pub mod code {
     /// This node is draining: health checks fail while open connections
     /// finish (503).
     pub const DRAINING: &str = "draining";
-    /// Drain was requested on a server without drain support (routing over
-    /// a bare registry).
+    /// Drain was requested without drain support (in-process routing
+    /// through `route_live`).
     pub const DRAIN_UNAVAILABLE: &str = "drain_unavailable";
     /// The router found no live replica to forward to (503).
     pub const REPLICA_UNAVAILABLE: &str = "replica_unavailable";

@@ -109,9 +109,7 @@ pub use live::{LiveRegistry, RegistryGeneration, ReloadOutcome};
 pub use registry::{ModelRegistry, ServingModel};
 pub use retrain::{retrain, write_synthetic_csv, RetrainOptions, RetrainOutcome};
 pub use router::{replica_rank, Router, RouterConfig, RouterHandle};
-pub use server::{
-    route, route_live, route_with, route_with_batcher, ServeOptions, Server, ServerHandle,
-};
+pub use server::{route_live, ServeOptions, Server, ServerHandle};
 pub use stats::LatencySummary;
 
 /// Result alias used across the crate.

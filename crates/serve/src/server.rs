@@ -262,10 +262,14 @@ impl Server {
             Some(interval) if shared.live.source().is_some() => {
                 let live = Arc::clone(&shared.live);
                 let core = Arc::clone(&core);
+                // The baseline is taken before `start` returns: a rewrite
+                // the caller makes right after must count as a change, not
+                // race the watcher thread's first look at the directory.
+                let seen = dir_fingerprint(&live);
                 Some(
                     std::thread::Builder::new()
                         .name("sls-serve-watch".to_string())
-                        .spawn(move || watcher_loop(&live, &core.shutdown, interval))?,
+                        .spawn(move || watcher_loop(&live, seen, &core.shutdown, interval))?,
                 )
             }
             _ => None,
@@ -320,11 +324,8 @@ struct Shared {
 
 impl RequestHandler for Shared {
     fn handle(&self, request: &Request) -> (u16, String) {
-        let current: Arc<RegistryGeneration> = self.live.current();
         route_inner(
-            &current.registry,
-            current.generation,
-            Some(&self.live),
+            &self.live,
             request,
             &self.parallel,
             Some(&self.batcher),
@@ -527,13 +528,17 @@ fn dir_fingerprint(live: &LiveRegistry) -> DirFingerprint {
     fingerprint
 }
 
-/// Directory-watch thread: polls the artifact directory fingerprint every
-/// `interval` (in shutdown-aware steps) and triggers an atomic reload on
-/// change. A rejected reload (e.g. a half-written artifact) is retried on
-/// the *next* change, not every tick, so a corrupt file does not spin the
-/// failure counter.
-fn watcher_loop(live: &LiveRegistry, shutdown: &AtomicBool, interval: Duration) {
-    let mut seen = dir_fingerprint(live);
+/// Directory-watch thread: starting from the fingerprint `seen`, polls the
+/// artifact directory fingerprint every `interval` (in shutdown-aware
+/// steps) and triggers an atomic reload on change. A rejected reload (e.g.
+/// a half-written artifact) is retried on the *next* change, not every
+/// tick, so a corrupt file does not spin the failure counter.
+fn watcher_loop(
+    live: &LiveRegistry,
+    mut seen: DirFingerprint,
+    shutdown: &AtomicBool,
+    interval: Duration,
+) {
     loop {
         let deadline = Instant::now() + interval;
         while Instant::now() < deadline {
@@ -730,60 +735,23 @@ fn handle_connection<H: RequestHandler + ?Sized>(
     }
 }
 
-/// Routes one parsed request to its handler under the process-wide
-/// [`ParallelPolicy::global`], returning `(status, body)`.
+/// Routes one parsed request against the current generation of a
+/// hot-swappable registry, returning `(status, body)`: the generation is
+/// resolved exactly once, the whole request is served from that snapshot,
+/// and `POST /admin/reload` is live. Inference requests go through
+/// `batcher`'s coalescing window when one is given, and `GET /statz`
+/// reports its counters.
 ///
-/// Exposed for direct unit testing without sockets.
-pub fn route(registry: &ModelRegistry, request: &Request) -> (u16, String) {
-    route_with(registry, request, &ParallelPolicy::global())
-}
-
-/// [`route`] under an explicit parallel execution policy for the inference
-/// micro-batches.
-pub fn route_with(
-    registry: &ModelRegistry,
-    request: &Request,
-    parallel: &ParallelPolicy,
-) -> (u16, String) {
-    route_with_batcher(registry, request, parallel, None)
-}
-
-/// [`route_with`] with an optional cross-request [`Batcher`]: inference
-/// requests go through its coalescing window, `GET /statz` reports its
-/// counters. With `None`, every request computes directly and `/statz`
-/// reports a disabled batcher.
-///
-/// Routing over a bare registry reports generation 1 and rejects
-/// `POST /admin/reload` with `409` — hot reload needs a [`LiveRegistry`]
-/// (see [`route_live`]).
-pub fn route_with_batcher(
-    registry: &ModelRegistry,
-    request: &Request,
-    parallel: &ParallelPolicy,
-    batcher: Option<&Batcher>,
-) -> (u16, String) {
-    route_inner(registry, 1, None, request, parallel, batcher, None)
-}
-
-/// Routes one request against the current generation of a hot-swappable
-/// registry: the generation is resolved exactly once, the whole request is
-/// served from that snapshot, and `POST /admin/reload` is live.
+/// Exposed for direct testing without sockets. Wrap a bare registry in
+/// [`LiveRegistry::new`] to route over it: it reports generation 1 and
+/// rejects `POST /admin/reload` with `409`.
 pub fn route_live(
     live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
     batcher: Option<&Batcher>,
 ) -> (u16, String) {
-    let current: Arc<RegistryGeneration> = live.current();
-    route_inner(
-        &current.registry,
-        current.generation,
-        Some(live),
-        request,
-        parallel,
-        batcher,
-        None,
-    )
+    route_inner(live, request, parallel, batcher, None)
 }
 
 /// Strips the `/v1` API-version prefix off a segmented path. The bare
@@ -813,16 +781,15 @@ fn is_version_prefix(segment: &str) -> bool {
         && segment[1..].bytes().all(|b| b.is_ascii_digit())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route_inner(
-    registry: &ModelRegistry,
-    generation: u64,
-    live: Option<&LiveRegistry>,
+    live: &LiveRegistry,
     request: &Request,
     parallel: &ParallelPolicy,
     batcher: Option<&Batcher>,
     draining: Option<&AtomicBool>,
 ) -> (u16, String) {
+    let current: Arc<RegistryGeneration> = live.current();
+    let (registry, generation) = (&current.registry, current.generation);
     let path = request.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let rest = match api_segments(&segments) {
@@ -843,14 +810,15 @@ fn route_inner(
         ),
         // `/admin/statz` is canonical; top-level `/statz` is the deprecated
         // pre-v1 alias, kept byte-identical.
-        ("GET", ["statz"] | ["admin", "statz"]) => {
-            let (swaps, failed) = live.map_or((0, 0), |l| (l.swaps(), l.failed_reloads()));
-            json_body(
-                200,
-                &BatchStatsResponse::describe(batcher).with_registry(generation, swaps, failed),
-            )
-        }
-        ("POST", ["admin", "reload"]) => reload(generation, live),
+        ("GET", ["statz"] | ["admin", "statz"]) => json_body(
+            200,
+            &BatchStatsResponse::describe(batcher).with_registry(
+                generation,
+                live.swaps(),
+                live.failed_reloads(),
+            ),
+        ),
+        ("POST", ["admin", "reload"]) => reload(live),
         ("POST", ["admin", "drain"]) => drain(draining),
         ("POST", ["models", name, "features"]) => infer(
             registry,
@@ -901,14 +869,14 @@ fn health(registry: &ModelRegistry, draining: Option<&AtomicBool>) -> (u16, Stri
 }
 
 /// `POST /admin/drain`: flip the node into draining mode (idempotent).
-/// Only a socket-backed server carries the flag; the in-process routing
-/// helpers answer 409.
+/// Only a socket-backed server carries the flag; in-process routing
+/// through [`route_live`] answers 409.
 fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
     let Some(flag) = draining else {
         return error_body(
             409,
             code::DRAIN_UNAVAILABLE,
-            "drain is not available: routing over a bare registry has no connection state",
+            "drain is not available: in-process routing has no connection state",
         );
     };
     flag.store(true, Ordering::SeqCst);
@@ -923,21 +891,7 @@ fn drain(draining: Option<&AtomicBool>) -> (u16, String) {
 
 /// `POST /admin/reload`: atomically swap in a new generation from the
 /// artifact directory, or report exactly why the old one keeps serving.
-fn reload(generation: u64, live: Option<&LiveRegistry>) -> (u16, String) {
-    let Some(live) = live else {
-        return json_body(
-            409,
-            &ReloadResponse {
-                status: "rejected".to_string(),
-                swapped: false,
-                generation,
-                models: Vec::new(),
-                error: Some(
-                    "hot reload is not enabled: server was built over a bare registry".to_string(),
-                ),
-            },
-        );
-    };
+fn reload(live: &LiveRegistry) -> (u16, String) {
     let outcome = live.reload();
     let status = if outcome.swapped { 200 } else { 409 };
     json_body(
@@ -1082,6 +1036,17 @@ mod tests {
         registry
     }
 
+    /// The test registry behind a dir-less live registry: generation 1,
+    /// `POST /admin/reload` answers 409.
+    fn live() -> LiveRegistry {
+        LiveRegistry::new(registry())
+    }
+
+    /// Routes under the process-wide policy, without a batcher.
+    fn call(live: &LiveRegistry, request: &Request) -> (u16, String) {
+        route_live(live, request, &ParallelPolicy::global(), None)
+    }
+
     fn request(method: &str, path: &str, body: &str) -> Request {
         Request {
             method: method.to_string(),
@@ -1092,7 +1057,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_model_count() {
-        let (status, body) = route(&registry(), &request("GET", "/healthz", ""));
+        let (status, body) = call(&live(), &request("GET", "/healthz", ""));
         assert_eq!(status, 200);
         let health: HealthResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(health.status, "ok");
@@ -1101,7 +1066,7 @@ mod tests {
 
     #[test]
     fn models_lists_loaded_artifacts() {
-        let (status, body) = route(&registry(), &request("GET", "/models", ""));
+        let (status, body) = call(&live(), &request("GET", "/models", ""));
         assert_eq!(status, 200);
         let models: ModelsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(models.models.len(), 1);
@@ -1114,28 +1079,28 @@ mod tests {
     #[test]
     fn statz_reports_batcher_counters() {
         // Without a batcher: the disabled shape.
-        let (status, body) = route(&registry(), &request("GET", "/statz", ""));
+        let (status, body) = call(&live(), &request("GET", "/statz", ""));
         assert_eq!(status, 200);
         let stats: BatchStatsResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(stats.window_us, 0);
         assert_eq!(stats.batches, 0);
 
         // With one: config echoed, counters live.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(250),
             max_rows: 64,
         });
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
-        let (status, response) = route_with_batcher(
-            &registry,
+        let (status, response) = route_live(
+            &live,
             &request("POST", "/models/demo/features", body),
             &ParallelPolicy::serial(),
             Some(&batcher),
         );
         assert_eq!(status, 200, "{response}");
-        let (status, body) = route_with_batcher(
-            &registry,
+        let (status, body) = route_live(
+            &live,
             &request("GET", "/statz", ""),
             &ParallelPolicy::serial(),
             Some(&batcher),
@@ -1149,15 +1114,15 @@ mod tests {
 
     #[test]
     fn features_and_assign_answer_batches() {
-        let registry = registry();
+        let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let (status, response) = route(&registry, &request("POST", "/models/demo/features", body));
+        let (status, response) = call(&live, &request("POST", "/models/demo/features", body));
         assert_eq!(status, 200, "{response}");
         let features: FeaturesResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(features.features.len(), 3);
         assert_eq!(features.features[0].len(), 4);
 
-        let (status, response) = route(&registry, &request("POST", "/models/demo/assign", body));
+        let (status, response) = call(&live, &request("POST", "/models/demo/assign", body));
         assert_eq!(status, 200, "{response}");
         let assign: AssignResponse = serde_json::from_str(&response).unwrap();
         assert_eq!(assign.assignments.len(), 3);
@@ -1168,7 +1133,7 @@ mod tests {
     fn batched_routing_answers_byte_identical_responses() {
         // One request through the coalescing window (it just times out
         // alone) must answer the exact bytes of the direct path.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(200),
             max_rows: 64,
@@ -1176,13 +1141,8 @@ mod tests {
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3]]}";
         for path in ["/models/demo/features", "/models/demo/assign"] {
             let request = request("POST", path, body);
-            let direct = route_with(&registry, &request, &ParallelPolicy::serial());
-            let batched = route_with_batcher(
-                &registry,
-                &request,
-                &ParallelPolicy::serial(),
-                Some(&batcher),
-            );
+            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
             assert_eq!(direct, batched, "path {path}");
             assert_eq!(direct.0, 200);
         }
@@ -1190,8 +1150,8 @@ mod tests {
 
     #[test]
     fn unknown_model_is_404() {
-        let (status, body) = route(
-            &registry(),
+        let (status, body) = call(
+            &live(),
             &request("POST", "/models/ghost/features", "{\"rows\":[[1.0]]}"),
         );
         assert_eq!(status, 404);
@@ -1201,18 +1161,18 @@ mod tests {
 
     #[test]
     fn unknown_path_is_404_and_wrong_method_is_405() {
-        assert_eq!(route(&registry(), &request("GET", "/nope", "")).0, 404);
-        assert_eq!(route(&registry(), &request("POST", "/healthz", "")).0, 405);
-        assert_eq!(route(&registry(), &request("POST", "/statz", "")).0, 405);
+        assert_eq!(call(&live(), &request("GET", "/nope", "")).0, 404);
+        assert_eq!(call(&live(), &request("POST", "/healthz", "")).0, 405);
+        assert_eq!(call(&live(), &request("POST", "/statz", "")).0, 405);
         assert_eq!(
-            route(&registry(), &request("GET", "/models/demo/features", "")).0,
+            call(&live(), &request("GET", "/models/demo/features", "")).0,
             405
         );
     }
 
     #[test]
     fn bad_bodies_are_400() {
-        let registry = registry();
+        let live = live();
         for body in [
             "not json",
             "{\"rows\":[]}",
@@ -1220,8 +1180,7 @@ mod tests {
             // Wrong width for the 4-visible model.
             "{\"rows\":[[1.0,2.0]]}",
         ] {
-            let (status, response) =
-                route(&registry, &request("POST", "/models/demo/features", body));
+            let (status, response) = call(&live, &request("POST", "/models/demo/features", body));
             assert_eq!(status, 400, "body `{body}` answered {response}");
         }
     }
@@ -1230,7 +1189,7 @@ mod tests {
     fn bad_bodies_are_400_with_a_batcher_too() {
         // The malformed-request errors must be identical whether or not a
         // batch window is configured — doomed requests bypass coalescing.
-        let registry = registry();
+        let live = live();
         let batcher = Batcher::new(BatchConfig {
             window: Duration::from_micros(200),
             max_rows: 64,
@@ -1241,13 +1200,8 @@ mod tests {
             ("/models/ghost/assign", "{\"rows\":[[1.0]]}"),
         ] {
             let request = request("POST", path, body);
-            let direct = route_with(&registry, &request, &ParallelPolicy::serial());
-            let batched = route_with_batcher(
-                &registry,
-                &request,
-                &ParallelPolicy::serial(),
-                Some(&batcher),
-            );
+            let direct = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let batched = route_live(&live, &request, &ParallelPolicy::serial(), Some(&batcher));
             assert_eq!(direct, batched, "path {path} body `{body}`");
             assert!(!direct.1.is_empty());
         }
@@ -1260,7 +1214,7 @@ mod tests {
 
     #[test]
     fn query_strings_are_ignored_for_routing() {
-        let (status, _) = route(&registry(), &request("GET", "/healthz?verbose=1", ""));
+        let (status, _) = call(&live(), &request("GET", "/healthz?verbose=1", ""));
         assert_eq!(status, 200);
     }
 
@@ -1268,25 +1222,27 @@ mod tests {
     fn parallel_routing_answers_byte_identical_responses() {
         // The serving contract of the parallel layer: a client can never
         // tell from a response body how many threads computed it.
-        let registry = registry();
+        let live = live();
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
         for path in ["/models/demo/features", "/models/demo/assign"] {
             let request = request("POST", path, body);
-            let serial = route_with(&registry, &request, &ParallelPolicy::serial());
-            let parallel = route_with(
-                &registry,
+            let serial = route_live(&live, &request, &ParallelPolicy::serial(), None);
+            let parallel = route_live(
+                &live,
                 &request,
                 &ParallelPolicy::new(4).with_min_rows_per_thread(1),
+                None,
             );
             assert_eq!(serial, parallel, "path {path}");
             assert_eq!(serial.0, 200);
             // Persistent-pool dispatch answers the same bytes too.
-            let pooled = route_with(
-                &registry,
+            let pooled = route_live(
+                &live,
                 &request,
                 &ParallelPolicy::new(4)
                     .with_min_rows_per_thread(1)
                     .with_pool(true),
+                None,
             );
             assert_eq!(serial, pooled, "pooled path {path}");
         }
@@ -1294,17 +1250,14 @@ mod tests {
 
     #[test]
     fn reload_on_a_bare_registry_is_409_with_structured_body() {
-        let (status, body) = route(&registry(), &request("POST", "/admin/reload", ""));
+        let (status, body) = call(&live(), &request("POST", "/admin/reload", ""));
         assert_eq!(status, 409);
         let reload: ReloadResponse = serde_json::from_str(&body).unwrap();
         assert!(!reload.swapped);
         assert_eq!(reload.generation, 1);
         assert!(reload.error.unwrap().contains("not enabled"));
         // Wrong method on the admin path is 405, like every known path.
-        assert_eq!(
-            route(&registry(), &request("GET", "/admin/reload", "")).0,
-            405
-        );
+        assert_eq!(call(&live(), &request("GET", "/admin/reload", "")).0, 405);
     }
 
     #[test]
@@ -1413,10 +1366,11 @@ mod tests {
         let handle = server.start().unwrap();
         let client = crate::Client::new(addr);
         let body = "{\"rows\":[[0.1,0.2,0.3,0.4],[1.0,1.1,1.2,1.3],[2.0,2.1,2.2,2.3]]}";
-        let reference = route_with(
-            &registry(),
+        let reference = route_live(
+            &live(),
             &request("POST", "/models/demo/features", body),
             &ParallelPolicy::serial(),
+            None,
         );
         for _ in 0..4 {
             let response = client

@@ -11,8 +11,8 @@ use sls_linalg::{ParallelPolicy, SimdPolicy};
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::Request;
 use sls_serve::{
-    route_with, BatchConfig, BatchStatsResponse, Client, FeaturesResponse, ModelRegistry, Server,
-    ServerHandle,
+    route_live, BatchConfig, BatchStatsResponse, Client, FeaturesResponse, LiveRegistry,
+    ModelRegistry, Server, ServerHandle,
 };
 use std::sync::Barrier;
 use std::time::Duration;
@@ -93,8 +93,8 @@ fn body_for(model: &str, worker: usize, round: usize) -> (String, String) {
 
 /// The serial, unbatched reference body — what the batched server must
 /// reproduce byte for byte.
-fn serial_reference(registry: &ModelRegistry, method: &str, path: &str, body: &str) -> String {
-    let (status, reference) = route_with(
+fn serial_reference(registry: &LiveRegistry, method: &str, path: &str, body: &str) -> String {
+    let (status, reference) = route_live(
         registry,
         &Request {
             method: method.to_string(),
@@ -102,6 +102,7 @@ fn serial_reference(registry: &ModelRegistry, method: &str, path: &str, body: &s
             body: body.to_string(),
         },
         &ParallelPolicy::serial(),
+        None,
     );
     assert_eq!(status, 200, "reference request failed: {reference}");
     reference
@@ -120,7 +121,7 @@ fn feature_bits(body: &str) -> Vec<Vec<u64>> {
 
 #[test]
 fn batched_responses_are_bitwise_identical_across_policies() {
-    let registry = registry();
+    let registry = LiveRegistry::new(registry());
     let policies = [
         ("spawn+simd", false, true),
         ("spawn+scalar", false, false),
@@ -181,7 +182,7 @@ fn batched_responses_are_bitwise_identical_across_policies() {
 
 #[test]
 fn mixed_models_and_endpoints_never_leak_rows() {
-    let registry = registry();
+    let registry = LiveRegistry::new(registry());
     let handle = start(
         ParallelPolicy::new(4)
             .with_min_rows_per_thread(1)

@@ -14,7 +14,10 @@ use sls_datasets::SyntheticBlobs;
 use sls_linalg::ParallelPolicy;
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::http::{read_response_meta, write_request_keep_alive, Request};
-use sls_serve::{route_with, Client, ModelRegistry, ServeOptions, Server, ServerHandle};
+use sls_serve::{
+    route_live, Client, ErrorResponse, LiveRegistry, ModelRegistry, ServeOptions, Server,
+    ServerHandle,
+};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -51,14 +54,15 @@ fn start(options: ServeOptions) -> ServerHandle {
 /// The response body the server must produce for `POST path body`, computed
 /// through the in-process router (the bitwise reference).
 fn reference(method: &str, path: &str, body: &str) -> (u16, String) {
-    route_with(
-        &registry(),
+    route_live(
+        &LiveRegistry::new(registry()),
         &Request {
             method: method.to_string(),
             path: path.to_string(),
             body: body.to_string(),
         },
         &ParallelPolicy::global(),
+        None,
     )
 }
 
@@ -267,6 +271,33 @@ fn malformed_request_on_a_reused_connection_closes_with_400() {
     );
     assert!(close, "a desynced connection must never be reused");
     assert_closed(&mut reader);
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
+    // 20 000 unclosed `[` used to recurse the JSON parser once per byte and
+    // overflow the connection thread's stack, aborting the whole server.
+    let handle = start(ServeOptions::default());
+    let client = Client::new(handle.addr());
+    let poison = "[".repeat(20_000);
+    let response = client
+        .request("POST", &format!("/v1/models/{MODEL}/features"), &poison)
+        .expect("the poison request is answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).expect("error body parses");
+    assert_eq!(error.code, "invalid_body");
+    assert!(error.error.contains("recursion limit"), "{}", error.error);
+
+    // A fresh connection still gets served.
+    let response = client
+        .request(
+            "POST",
+            &format!("/v1/models/{MODEL}/features"),
+            r#"{"rows": [[0.1, 0.2, 0.3, 0.4]]}"#,
+        )
+        .expect("the server survives");
+    assert_eq!(response.status, 200, "{}", response.body);
     handle.shutdown();
 }
 

@@ -4,6 +4,7 @@
 use crate::ServingModel;
 use serde::{Deserialize, Serialize};
 use sls_linalg::Matrix;
+use std::fmt::Write as _;
 
 /// Body of `POST /models/{name}/features` and `POST /models/{name}/assign`:
 /// a batch of raw feature rows.
@@ -413,6 +414,237 @@ pub fn matrix_to_rows(matrix: &Matrix) -> Vec<Vec<f64>> {
     matrix.row_iter().map(<[f64]>::to_vec).collect()
 }
 
+/// Decodes a [`RowsRequest`] body straight into one row-major [`Matrix`].
+///
+/// A single non-recursive pass reads the canonical `{"rows":[[n,…],…]}`
+/// shape (JSON whitespace allowed between tokens) and pushes every number
+/// into one flat buffer: no `serde::Value` tree and no `Vec<Vec<f64>>`.
+/// Numbers decode exactly as the vendored `serde_json` decodes them.
+///
+/// Any other body — another, duplicate or escaped key, a non-number
+/// element, empty or ragged rows, a token that does not parse, trailing
+/// bytes — goes through `serde_json::from_str::<RowsRequest>` and
+/// [`RowsRequest::to_matrix`] instead, so every accepted matrix and every
+/// rejection is the general path's. A rejected body thus costs at most one
+/// extra linear scan.
+///
+/// # Errors
+///
+/// Returns the error [`code`] and message the server answers `400` with:
+/// [`code::INVALID_BODY`] for malformed JSON, [`code::BAD_ROW_WIDTH`] for
+/// empty or ragged rows.
+pub fn decode_rows(body: &str) -> std::result::Result<Matrix, (&'static str, String)> {
+    if let Some(matrix) = RowsScanner::new(body).scan() {
+        return Ok(matrix);
+    }
+    let rows: RowsRequest = serde_json::from_str(body)
+        .map_err(|e| (code::INVALID_BODY, format!("invalid JSON body: {e}")))?;
+    rows.to_matrix()
+        .map_err(|message| (code::BAD_ROW_WIDTH, message))
+}
+
+/// The flat single-pass reader behind [`decode_rows`]. Every method returns
+/// `None` (or `false`) on the first byte outside the canonical shape.
+struct RowsScanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> RowsScanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    fn scan(mut self) -> Option<Matrix> {
+        if !(self.eat(b'{') && self.eat(b'"')) {
+            return None;
+        }
+        // The key's bytes follow the quote directly: whitespace there would
+        // be part of the key.
+        if !self.text.as_bytes()[self.pos..].starts_with(b"rows\"") {
+            return None;
+        }
+        self.pos += b"rows\"".len();
+        if !(self.eat(b':') && self.eat(b'[')) {
+            return None;
+        }
+        let mut data = Vec::new();
+        let (mut rows, mut cols) = (0, 0);
+        loop {
+            let row_start = self.pos;
+            if !self.eat(b'[') {
+                return None;
+            }
+            data.push(self.number()?);
+            while self.eat(b',') {
+                data.push(self.number()?);
+            }
+            if !self.eat(b']') {
+                return None;
+            }
+            rows += 1;
+            if rows == 1 {
+                // Size the buffer once from the first row's footprint. A
+                // row takes at least two bytes per number, so this never
+                // asks for more than one value per two remaining bytes.
+                cols = data.len();
+                let per_row = self.pos - row_start;
+                data.reserve((self.text.len() - self.pos) / per_row * cols);
+            } else if data.len() != rows * cols {
+                return None;
+            }
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        if !(self.eat(b']') && self.eat(b'}')) {
+            return None;
+        }
+        self.skip_whitespace();
+        if self.pos != self.text.len() {
+            return None;
+        }
+        Matrix::from_vec(rows, cols, data).ok()
+    }
+
+    fn skip_whitespace(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.text.as_bytes().get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace, then consumes `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_whitespace();
+        if self.text.as_bytes().get(self.pos) == Some(&byte) {
+            self.pos += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// One number token, cut and parsed as the vendored `serde_json` does:
+    /// an optional `-`, then bytes from `[0-9.eE+-]`. A token with any of
+    /// `.eE+-` after the sign parses as `f64`; any other parses as `i64`
+    /// (so `-0` is `+0.0`), or as `f64` past the `i64` range.
+    fn number(&mut self) -> Option<f64> {
+        self.skip_whitespace();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut end = start;
+        match bytes.get(end) {
+            Some(b'-') => end += 1,
+            Some(b'0'..=b'9') => {}
+            _ => return None,
+        }
+        let mut is_float = false;
+        loop {
+            end += digit_run(&bytes[end..]);
+            match bytes.get(end) {
+                Some(b'.' | b'e' | b'E' | b'+' | b'-') => {
+                    is_float = true;
+                    end += 1;
+                }
+                _ => break,
+            }
+        }
+        self.pos = end;
+        // Both ends sit next to ASCII bytes, so the slice is on char
+        // boundaries.
+        let token = &self.text[start..end];
+        if !is_float {
+            if let Ok(int) = token.parse::<i64>() {
+                return Some(int as f64);
+            }
+        }
+        token.parse::<f64>().ok()
+    }
+}
+
+/// Length of the run of ASCII digits `bytes` starts with, read eight bytes
+/// at a time.
+fn digit_run(bytes: &[u8]) -> usize {
+    let mut n = 0;
+    while let Some(chunk) = bytes.get(n..n + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        // The high bit of a byte ends up set iff it is not in b'0'..=b'9'.
+        // Carries and borrows only run towards later bytes, so the first
+        // flagged byte is exact.
+        let non_digit = (word.wrapping_add(0x4646_4646_4646_4646)
+            | word.wrapping_sub(0x3030_3030_3030_3030))
+            & 0x8080_8080_8080_8080;
+        if non_digit != 0 {
+            return n + non_digit.trailing_zeros() as usize / 8;
+        }
+        n += 8;
+    }
+    n + bytes[n..].iter().take_while(|b| b.is_ascii_digit()).count()
+}
+
+/// Encodes a `/features` response straight from the feature matrix, one
+/// row per request row. The bytes equal `serde_json::to_string` of the
+/// [`FeaturesResponse`] holding the same rows.
+pub fn encode_features(model: &str, generation: u64, features: &Matrix) -> String {
+    let mut out = String::with_capacity(64 + model.len() + 24 * features.len());
+    open_response(&mut out, model, generation, "features");
+    for i in 0..features.rows() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &x) in features.row(i).iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_f64(&mut out, x);
+        }
+        out.push(']');
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Encodes an `/assign` response; the bytes equal `serde_json::to_string`
+/// of the [`AssignResponse`] holding the same labels.
+pub fn encode_assign(model: &str, generation: u64, assignments: &[usize]) -> String {
+    let mut out = String::with_capacity(64 + model.len() + 4 * assignments.len());
+    open_response(&mut out, model, generation, "assignments");
+    for (i, &label) in assignments.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Integers serialize through `i64`, as the serde facade does.
+        let _ = write!(out, "{}", label as i64);
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Writes `{"model":…,"generation":…,"<key>":[`, the shared head of both
+/// inference responses, in their field order.
+fn open_response(out: &mut String, model: &str, generation: u64, key: &str) {
+    out.push_str("{\"model\":");
+    // The name goes through the vendored string escaper itself.
+    out.push_str(&serde_json::to_string(model).unwrap_or_default());
+    let _ = write!(out, ",\"generation\":{},\"{key}\":[", generation as i64);
+}
+
+/// Appends one float as the vendored `serde_json` writes it: `f64`
+/// `Display` (the shortest text that round-trips), `.0` appended when that
+/// text reads as an integer, and `null` for a non-finite value.
+fn push_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,6 +821,154 @@ mod tests {
         let plain: HealthResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(plain.status, "ok");
         assert_eq!(plain.models, 2);
+    }
+
+    /// The general path [`decode_rows`] falls back to.
+    fn general(body: &str) -> std::result::Result<Matrix, (&'static str, String)> {
+        let rows: RowsRequest = serde_json::from_str(body)
+            .map_err(|e| (code::INVALID_BODY, format!("invalid JSON body: {e}")))?;
+        rows.to_matrix()
+            .map_err(|message| (code::BAD_ROW_WIDTH, message))
+    }
+
+    fn bits(matrix: &Matrix) -> (usize, usize, Vec<u64>) {
+        let (rows, cols) = matrix.shape();
+        (
+            rows,
+            cols,
+            matrix.as_slice().iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn scanner_reads_canonical_bodies_bit_for_bit() {
+        for body in [
+            "{\"rows\":[[0.5,-1.25]]}",
+            " {\n\t\"rows\" :\r[ [ 1 , 2.5e-3 ] ,[-0,7E+2] ] }\n ",
+            "{\"rows\":[[1e400,-1e400,1e-400,007,-9223372036854775809]]}",
+            "{\"rows\":[[0.30000000000000004,9007199254740993,123456789012345678901234]]}",
+            "{\"rows\":[[-.5,5.,1e5,-0.0]]}",
+        ] {
+            let fast = RowsScanner::new(body).scan().expect(body);
+            let slow = general(body).expect(body);
+            assert_eq!(bits(&fast), bits(&slow), "{body}");
+        }
+        // `-0` is an integer token, so it decodes to +0.0 like the general
+        // path; `-0.0` is a float token and keeps its sign.
+        let m = RowsScanner::new("{\"rows\":[[-0,-0.0]]}").scan().unwrap();
+        assert_eq!(m.as_slice()[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.as_slice()[1].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn scanner_defers_every_other_shape_to_the_general_path() {
+        for body in [
+            "",
+            "{}",
+            "{\"rows\":[]}",
+            "{\"rows\":[[]]}",
+            "{\"rows\":[[1],[1,2]]}",
+            "{\"rows\":[[1,2],[1]]}",
+            "{\"rows\":[[1,2],[3,4,5],[6]]}",
+            "{\"rows\":[[1,]]}",
+            "{\"rows\":[[1]],}",
+            "{\"rows\":[[1]]}x",
+            "{\"rows\":[[1]]",
+            "{\"rows\":[[+1]]}",
+            "{\"rows\":[[-]]}",
+            "{\"rows\":[[1-2]]}",
+            "{\"rows\":[[null]]}",
+            "{\"rows\":[[\"1\"]]}",
+            "{\"rows\":[[[1]]]}",
+            "{\" rows\":[[1]]}",
+            "{\"row\\u0073\":[[1]]}",
+            "{\"rows\":[[1]],\"rows\":[[2]]}",
+            "{\"id\":1,\"rows\":[[1]]}",
+            "[[1]]",
+        ] {
+            assert!(RowsScanner::new(body).scan().is_none(), "{body:?}");
+            let decoded = decode_rows(body).map(|m| bits(&m));
+            assert_eq!(decoded, general(body).map(|m| bits(&m)), "{body:?}");
+        }
+    }
+
+    #[test]
+    fn digit_run_stops_at_the_first_non_digit_byte() {
+        // Every byte value at every offset of the eight-byte word and past
+        // it, followed by bytes that carry (0xff) or borrow (0x00) into
+        // their neighbours.
+        for byte in 0..=u8::MAX {
+            for digits in 0..20 {
+                for tail in [[b'x', b'9', b'9'], [0xff, b'1', 0xff], [0x00, 0x00, b'3']] {
+                    let mut bytes = vec![b'7'; digits];
+                    bytes.push(byte);
+                    bytes.extend_from_slice(&tail);
+                    let expected = digits + usize::from(byte.is_ascii_digit());
+                    assert_eq!(digit_run(&bytes), expected, "{bytes:?}");
+                }
+            }
+        }
+        assert_eq!(digit_run(b""), 0);
+        assert_eq!(digit_run(b"0123456789012345"), 16);
+    }
+
+    #[test]
+    fn encoders_match_the_serde_writer_byte_for_byte() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.0,
+            0.1 + 0.2,
+            1e21,
+            1e-7,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            123_456_789.0,
+        ];
+        let features = Matrix::from_vec(2, 7, values.to_vec()).unwrap();
+        for model in ["demo", "quo\"te\\back\nline\u{1}\u{e9}", ""] {
+            for generation in [1, 42, u64::MAX] {
+                let expected = serde_json::to_string(&FeaturesResponse {
+                    model: model.to_string(),
+                    generation,
+                    features: (0..features.rows())
+                        .map(|i| features.row(i).to_vec())
+                        .collect(),
+                })
+                .unwrap();
+                assert_eq!(encode_features(model, generation, &features), expected);
+                let assignments = vec![0, 3, usize::MAX, 7];
+                let expected = serde_json::to_string(&AssignResponse {
+                    model: model.to_string(),
+                    generation,
+                    assignments: assignments.clone(),
+                })
+                .unwrap();
+                assert_eq!(encode_assign(model, generation, &assignments), expected);
+            }
+        }
+        let empty = Matrix::from_vec(2, 0, Vec::new()).unwrap();
+        let expected = serde_json::to_string(&FeaturesResponse {
+            model: "m".into(),
+            generation: 1,
+            features: vec![Vec::new(), Vec::new()],
+        })
+        .unwrap();
+        assert_eq!(encode_features("m", 1, &empty), expected);
+        assert_eq!(
+            encode_assign("m", 1, &[]),
+            serde_json::to_string(&AssignResponse {
+                model: "m".into(),
+                generation: 1,
+                assignments: Vec::new(),
+            })
+            .unwrap()
+        );
     }
 
     #[test]

@@ -111,8 +111,8 @@ pub enum Endpoint {
 /// Per-request output sliced back out of a fused launch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutput {
-    /// Hidden-feature rows for the request's rows.
-    Features(Vec<Vec<f64>>),
+    /// Hidden-feature matrix, one row per request row.
+    Features(Matrix),
     /// Cluster label per request row.
     Assign(Vec<usize>),
 }
@@ -383,14 +383,28 @@ impl Batcher {
         }
     }
 
+    /// The queue for `key`, created on first use. Creating one drops every
+    /// queue of an older generation, so hot swaps do not grow the map;
+    /// requests still in flight on an old generation keep their `Arc` and
+    /// finish, and a late one simply opens a fresh queue.
     fn queue_for(&self, key: BatchKey) -> Arc<Queue> {
         let mut queues = self.queues.lock().expect("batch queues lock");
-        Arc::clone(queues.entry(key).or_insert_with(|| {
-            Arc::new(Queue {
-                slot: Mutex::new(None),
-                freed: Condvar::new(),
-            })
-        }))
+        if let Some(queue) = queues.get(&key) {
+            return Arc::clone(queue);
+        }
+        queues.retain(|old, _| old.generation >= key.generation);
+        let queue = Arc::new(Queue {
+            slot: Mutex::new(None),
+            freed: Condvar::new(),
+        });
+        queues.insert(key, Arc::clone(&queue));
+        queue
+    }
+
+    /// Number of per-key queues currently held.
+    #[cfg(test)]
+    pub(crate) fn queue_count(&self) -> usize {
+        self.queues.lock().expect("batch queues lock").len()
     }
 }
 
@@ -447,7 +461,7 @@ pub(crate) fn compute_direct(
     match endpoint {
         Endpoint::Features => model
             .features_with(matrix, parallel)
-            .map(|features| BatchOutput::Features(matrix_rows(&features, 0, features.rows())))
+            .map(BatchOutput::Features)
             .map_err(|e| e.to_string()),
         Endpoint::Assign => model
             .assign_with(matrix, parallel)
@@ -461,15 +475,13 @@ fn slice_output(
     (start, len): (usize, usize),
 ) -> std::result::Result<BatchOutput, String> {
     Ok(match fused {
-        Fused::Features(matrix) => BatchOutput::Features(matrix_rows(matrix, start, len)),
+        Fused::Features(matrix) => {
+            let cols = matrix.cols();
+            let rows = matrix.as_slice()[start * cols..(start + len) * cols].to_vec();
+            BatchOutput::Features(Matrix::from_vec(len, cols, rows).map_err(|e| e.to_string())?)
+        }
         Fused::Assign(labels) => BatchOutput::Assign(labels[start..start + len].to_vec()),
     })
-}
-
-fn matrix_rows(matrix: &Matrix, start: usize, len: usize) -> Vec<Vec<f64>> {
-    (start..start + len)
-        .map(|i| matrix.row(i).to_vec())
-        .collect()
 }
 
 #[cfg(test)]
@@ -508,10 +520,13 @@ mod tests {
         })
     }
 
-    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
-        rows.iter()
-            .map(|r| r.iter().map(|v| v.to_bits()).collect())
-            .collect()
+    fn bits(matrix: &Matrix) -> (usize, usize, Vec<u64>) {
+        let (rows, cols) = matrix.shape();
+        (
+            rows,
+            cols,
+            matrix.as_slice().iter().map(|v| v.to_bits()).collect(),
+        )
     }
 
     #[test]

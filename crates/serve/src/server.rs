@@ -50,8 +50,8 @@
 //! identical to serving them one by one (see [`crate::batch`]).
 
 use crate::api::{
-    code, AssignResponse, BatchStatsResponse, DrainResponse, ErrorResponse, FeaturesResponse,
-    HealthResponse, ModelInfo, ModelsResponse, ReloadResponse, RowsRequest,
+    code, decode_rows, encode_assign, encode_features, BatchStatsResponse, DrainResponse,
+    ErrorResponse, HealthResponse, ModelInfo, ModelsResponse, ReloadResponse,
 };
 use crate::batch::{compute_direct, BatchConfig, BatchOutput, Batcher, Endpoint};
 use crate::http::{
@@ -928,13 +928,9 @@ fn infer(
         Ok(model) => model,
         Err(e) => return error_body(404, code::MODEL_NOT_FOUND, e.to_string()),
     };
-    let rows: RowsRequest = match serde_json::from_str(body) {
-        Ok(rows) => rows,
-        Err(e) => return error_body(400, code::INVALID_BODY, format!("invalid JSON body: {e}")),
-    };
-    let matrix = match rows.to_matrix() {
+    let matrix = match decode_rows(body) {
         Ok(matrix) => matrix,
-        Err(message) => return error_body(400, code::BAD_ROW_WIDTH, message),
+        Err((code, message)) => return error_body(400, code, message),
     };
     // Doomed requests are rejected up front: they must fail with exactly
     // the error they would get alone, not poison a batch or inherit a
@@ -965,22 +961,10 @@ fn infer(
         None => compute_direct(&model, endpoint, &matrix, parallel),
     };
     match result {
-        Ok(BatchOutput::Features(features)) => json_body(
-            200,
-            &FeaturesResponse {
-                model: name.to_string(),
-                generation,
-                features,
-            },
-        ),
-        Ok(BatchOutput::Assign(assignments)) => json_body(
-            200,
-            &AssignResponse {
-                model: name.to_string(),
-                generation,
-                assignments,
-            },
-        ),
+        Ok(BatchOutput::Features(features)) => (200, encode_features(name, generation, &features)),
+        Ok(BatchOutput::Assign(assignments)) => {
+            (200, encode_assign(name, generation, &assignments))
+        }
         Err(message) => error_body(400, code::INFERENCE_FAILED, message),
     }
 }
@@ -1012,6 +996,7 @@ pub(crate) fn error_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{AssignResponse, FeaturesResponse};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use sls_datasets::SyntheticBlobs;
@@ -1335,6 +1320,54 @@ mod tests {
         assert_eq!(stats.generation, 2);
         assert_eq!(stats.registry_swaps, 1);
         assert_eq!(stats.failed_reloads, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batch_queues_stay_bounded_across_hot_swaps() {
+        let dir =
+            std::env::temp_dir().join(format!("sls_serve_server_queues_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let ds = SyntheticBlobs::new(30, 4, 2)
+            .separation(6.0)
+            .generate(&mut rng);
+        sls_rbm_core::PipelineArtifact::fit(
+            ModelKind::Grbm,
+            SlsPipelineConfig::quick_demo()
+                .with_clusters(2)
+                .with_hidden(4),
+            ds.features(),
+            &mut rng,
+        )
+        .unwrap()
+        .artifact
+        .save(dir.join("demo.json"))
+        .unwrap();
+        let live = LiveRegistry::from_dir(&dir, false).unwrap();
+        let policy = ParallelPolicy::serial();
+        let batcher = Batcher::new(BatchConfig {
+            window: Duration::from_micros(100),
+            max_rows: 64,
+        });
+        let body = "{\"rows\":[[0.1,0.2,0.3,0.4]]}";
+        let (models, endpoints) = (1, 2);
+        for reload in 0..50 {
+            let (status, response) =
+                route_live(&live, &request("POST", "/admin/reload", ""), &policy, None);
+            assert_eq!(status, 200, "reload {reload}: {response}");
+            for path in ["/models/demo/features", "/models/demo/assign"] {
+                let (status, response) =
+                    route_live(&live, &request("POST", path, body), &policy, Some(&batcher));
+                assert_eq!(status, 200, "{path} after reload {reload}: {response}");
+            }
+            assert!(
+                batcher.queue_count() <= 2 * models * endpoints,
+                "{} queues after reload {reload}",
+                batcher.queue_count()
+            );
+        }
+        assert_eq!(batcher.stats().batched_requests, 100);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,16 +1,19 @@
 //! Shard-router integration suite: two in-process replicas behind a
 //! [`Router`], proving stable hash ownership, retry-on-another-owner when a
-//! replica dies, drain without dropping an in-flight response, and
+//! replica dies, drain without dropping an in-flight response, a poison
+//! body answered 400 once without downing a replica, and
 //! generation-consistent fan-out reload (converged, rejected-atomically,
 //! and torn rollouts).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sls_datasets::SyntheticBlobs;
+use sls_linalg::{Matrix, ParallelPolicy};
 use sls_rbm_core::{ModelKind, PipelineArtifact, SlsPipelineConfig};
 use sls_serve::{
-    replica_rank, Client, LiveRegistry, ModelsResponse, Router, RouterConfig, RouterDrainResponse,
-    RouterHandle, RouterReloadResponse, RouterStatzResponse, ServeOptions, Server, ServerHandle,
+    replica_rank, Client, ErrorResponse, LiveRegistry, ModelsResponse, Router, RouterConfig,
+    RouterDrainResponse, RouterHandle, RouterReloadResponse, RouterStatzResponse, ServeOptions,
+    Server, ServerHandle, ServingModel,
 };
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -298,6 +301,55 @@ fn drain_under_load_loses_no_request_and_freezes_the_replica() {
         .expect("socket answers");
     assert_eq!(refused.status, 409);
     assert!(refused.body.contains("last_replica"), "{}", refused.body);
+
+    router.shutdown();
+    replica_a.shutdown();
+    replica_b.shutdown();
+}
+
+#[test]
+fn a_query_of_death_is_rejected_once_and_leaves_both_replicas_serving() {
+    let dir = unique_dir("poison");
+    let artifact = train(8);
+    export(&dir, &artifact, &["demo"]);
+    let replica_a = start_replica(&dir);
+    let replica_b = start_replica(&dir);
+    let addrs = vec![replica_a.addr(), replica_b.addr()];
+    let router = start_router(addrs.clone(), 2);
+    let client = Client::new(router.addr());
+
+    // 20 000 unclosed `[` once overflowed a replica's stack; with retry on
+    // the next owner, one request then took down the whole replica set.
+    let poison = "[".repeat(20_000);
+    let response = client
+        .request("POST", "/v1/models/demo/features", &poison)
+        .expect("the poison request is answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    let error: ErrorResponse = serde_json::from_str(&response.body).expect("error body parses");
+    assert_eq!(error.code, "invalid_body");
+    let statz = router_statz(&client);
+    assert_eq!(statz.retried_requests, 0, "a 400 must not be retried");
+    assert_eq!(statz.unrouted, 0);
+    for (replica, addr) in statz.replicas.iter().zip(&addrs) {
+        assert!(replica.healthy, "{addr} marked down");
+        let health = Client::new(*addr).health().expect("replica still answers");
+        assert_eq!(health.status, "ok");
+    }
+
+    // The next valid request is served, bit for bit.
+    let rows = vec![vec![0.1, 0.2, 0.3, 0.4], vec![-1.5, 2.0, 0.25, -0.75]];
+    let features = client
+        .features("demo", &rows)
+        .expect("valid request served");
+    let expected = ServingModel::from_artifact(artifact, false)
+        .features_with(
+            &Matrix::from_rows(&rows).expect("rectangular rows"),
+            &ParallelPolicy::serial(),
+        )
+        .expect("in-process features");
+    let got: Vec<u64> = features.iter().flatten().map(|x| x.to_bits()).collect();
+    let want: Vec<u64> = expected.as_slice().iter().map(|x| x.to_bits()).collect();
+    assert_eq!(got, want);
 
     router.shutdown();
     replica_a.shutdown();

@@ -20,11 +20,10 @@
 //!   (`*_simd_off` modes), so the vectorisation win is measured rather than
 //!   asserted;
 //! * `small_batch_{8,32,128}` — the serving micro-batch hot path
-//!   (`hidden_probabilities` on 8/32/128-row batches), timed per call under
-//!   three dispatch modes: `serial`, `spawn` (scoped threads per call) and
-//!   `pool` (the persistent worker pool). At these row counts the thread
-//!   spawn overhead dominates the kernel, which is exactly what the pool
-//!   exists to remove;
+//!   (`hidden_probabilities` on 8/32/128-row batches), timed per call
+//!   `serial` and on the persistent worker `pool`. At these row counts
+//!   dispatch overhead is comparable to the kernel itself, so this is where
+//!   fanning out has to prove it pays;
 //! * `skew_heavy_band` — a ragged map kernel where the last quarter of the
 //!   rows costs ~8x the rest: the straggler shape fixed-equal-band dispatch
 //!   loses to. `pool_fixed` pins the chunk size to one band per thread
@@ -44,12 +43,13 @@
 //! * `consensus_full` / `consensus_align` / `consensus_vote` — the
 //!   supervision-construction pipeline on synthetic blobs, end to end
 //!   (DP + K-means + AP base clusterers through alignment and voting) and
-//!   per integration stage, under `serial`, `spawn` and `pool` dispatch;
+//!   per integration stage, `serial` and on the `pool`;
 //!   the pooled membership is asserted identical to the serial one before
 //!   the report is written.
 //!
-//! Every section runs serially and under 2, 4, 8 threads plus the machine's
-//! core count; speedups are relative to the serial run *on this machine*.
+//! Every fanned-out configuration runs on the persistent worker pool, the
+//! one parallel executor (mode `pool`). The kernel sections run serially
+//! and under 2, 4, 8 threads plus the machine's core count; speedups are relative to the serial run *on this machine*.
 //! The report records `available_parallelism` — on a single-core box the
 //! honest speedup is ~1.0 and the multi-threaded numbers measure scheduling
 //! overhead, so read the speedup column together with that field. Outputs
@@ -84,10 +84,9 @@ struct Measurement {
     section: String,
     /// Thread budget of the policy (1 = serial).
     threads: usize,
-    /// Dispatch/execution mode: `serial`, `spawn` (scoped threads per
-    /// call) or `pool` (persistent worker pool); `serial_simd_off` /
-    /// `spawn_simd_off` for the scalar-fallback arms of the kernel
-    /// sections; `scalar_untiled` / `simd_untiled` / `simd_tiled` /
+    /// Dispatch/execution mode: `serial` or `pool` (the persistent worker
+    /// pool); `serial_simd_off` / `pool_simd_off` for the scalar-fallback
+    /// arms of the kernel sections; `pool_fixed` for band-sized chunks; `scalar_untiled` / `simd_untiled` / `simd_tiled` /
     /// `matmul_ref` within the `transpose_right_tiling` section.
     mode: String,
     /// Best-of-`reps` wall-clock time in milliseconds (per call for the
@@ -213,7 +212,7 @@ fn run(args: &[String]) -> Result<(), String> {
         } else {
             ParallelPolicy::new(threads).with_min_rows_per_thread(min_rows)
         };
-        let mode = if threads == 1 { "serial" } else { "spawn" };
+        let mode = if threads == 1 { "serial" } else { "pool" };
 
         // One CD training epoch, the end-to-end number.
         let cd_millis = best_of(reps, || {
@@ -285,25 +284,20 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Spawn-per-call vs persistent pool on serving micro-batches: the row
-    // counts where per-call thread spawns dominate the kernel itself. Each
+    // Serial vs pooled on serving micro-batches: the row counts where
+    // dispatch overhead is comparable to the kernel itself. Each
     // configuration is timed per call over a batch of iterations; the pool
     // is warmed before timing so the numbers compare steady-state dispatch,
     // not pool construction.
     let small_threads = 4usize;
     let iters = if quick { 60 } else { 300 };
-    let spawn_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
-    let pool_policy = spawn_policy.with_pool(true);
+    let pool_policy = ParallelPolicy::new(small_threads).with_min_rows_per_thread(2);
     let _ = sls_linalg::WorkerPool::global();
     let model = Rbm::new(visible, hidden, &mut ChaCha8Rng::seed_from_u64(7));
     for &rows in &[8usize, 32, 128] {
         let batch = Matrix::random_bernoulli(rows, visible, 0.3, &mut rng);
         let section = format!("small_batch_{rows}");
-        for (mode, policy) in [
-            ("serial", ParallelPolicy::serial()),
-            ("spawn", spawn_policy),
-            ("pool", pool_policy),
-        ] {
+        for (mode, policy) in [("serial", ParallelPolicy::serial()), ("pool", pool_policy)] {
             let millis = best_of(reps, || {
                 let start = Instant::now();
                 let mut last = None;
@@ -343,9 +337,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     };
     let fixed_chunk = skew_rows.div_ceil(small_threads);
-    let skew_modes: [(&str, ParallelPolicy); 4] = [
+    let skew_modes: [(&str, ParallelPolicy); 3] = [
         ("serial", ParallelPolicy::serial()),
-        ("spawn", spawn_policy),
         ("pool_fixed", pool_policy.with_chunk_rows(fixed_chunk)),
         ("pool", pool_policy),
     ];
@@ -430,17 +423,14 @@ fn run(args: &[String]) -> Result<(), String> {
     // on synthetic blobs, end to end through `build_with_clusterers` and
     // per integration stage (`align_partitions_with`, the Hungarian label
     // matching; `integrate_partitions_with`, alignment + voting), under
-    // serial, spawn and pooled dispatch. The base clusterers dominate, so
+    // serial and pooled dispatch. The base clusterers dominate, so
     // `consensus_full` minus `consensus_vote` reads as the clusterer stage.
     let (con_rows, con_dims, con_k) = if quick { (90, 6, 3) } else { (360, 12, 3) };
     let blobs = SyntheticBlobs::new(con_rows, con_dims, con_k)
         .separation(6.0)
         .generate(&mut ChaCha8Rng::seed_from_u64(13));
-    let consensus_modes: [(&str, ParallelPolicy); 3] = [
-        ("serial", ParallelPolicy::serial()),
-        ("spawn", spawn_policy),
-        ("pool", pool_policy),
-    ];
+    let consensus_modes: [(&str, ParallelPolicy); 2] =
+        [("serial", ParallelPolicy::serial()), ("pool", pool_policy)];
     for (mode, policy) in consensus_modes {
         let clusterers = base_clusterers(con_k, &policy);
         let builder = LocalSupervisionBuilder::new(con_k)
@@ -539,28 +529,15 @@ fn run(args: &[String]) -> Result<(), String> {
     });
     push(&mut results, tiling, 1, "matmul_ref", matmul_ref);
 
-    // Reproducibility spot-check before writing the report: the parallel
+    // Reproducibility spot-check before writing the report: the pooled
     // product must equal the serial product bit for bit.
     let serial = data
         .matmul_with(&weights, &ParallelPolicy::serial())
         .expect("matmul");
-    let parallel = data
-        .matmul_with(
-            &weights,
-            &ParallelPolicy::new(*thread_counts.last().unwrap()).with_min_rows_per_thread(1),
-        )
-        .expect("matmul");
-    assert_eq!(
-        serial.as_slice(),
-        parallel.as_slice(),
-        "parallel result diverged from serial"
-    );
     let pooled = data
         .matmul_with(
             &weights,
-            &ParallelPolicy::new(*thread_counts.last().unwrap())
-                .with_min_rows_per_thread(1)
-                .with_pool(true),
+            &ParallelPolicy::new(*thread_counts.last().unwrap()).with_min_rows_per_thread(1),
         )
         .expect("matmul");
     assert_eq!(
@@ -710,8 +687,8 @@ fn enforce_gate(report: &Report, tol: f64, cores: usize) -> Result<(), String> {
             "matmul_transpose_right",
         ] {
             check(
-                format!("{section}: spawn@{cores} threads vs serial (x{tol})"),
-                find(section, "spawn", Some(cores)),
+                format!("{section}: pool@{cores} threads vs serial (x{tol})"),
+                find(section, "pool", Some(cores)),
                 find(section, "serial", Some(1)).map(|s| s * tol),
             );
         }

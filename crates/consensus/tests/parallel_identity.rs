@@ -1,5 +1,5 @@
 //! Property suite for the PR's central invariant: consensus supervision
-//! built under ANY dispatch policy — serial, scoped spawns or the
+//! built under ANY parallel policy — serial or fanned out on the
 //! persistent worker pool, with the SIMD inner loops on or off, across
 //! thread budgets 1–8 — is *identical* to the serial build, and consumes
 //! the caller's RNG identically.
@@ -52,7 +52,7 @@ fn build(data: &Matrix, policy: ParallelPolicy, voting: VotingPolicy) -> (LocalS
     (supervision, rng.next_u64())
 }
 
-/// Every point of the {serial, spawn, pool} x {simd on, off} x threads 1–8
+/// Every point of the {serial, pool} x {simd on, off} x threads 1–8
 /// grid must reproduce the serial supervision exactly: same membership,
 /// same cluster count, same covered indices, same RNG consumption.
 #[test]
@@ -63,34 +63,31 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
     assert!(reference.n_clusters() > 0, "reference supervision is empty");
 
     for threads in 1..=8usize {
-        for pool in [false, true] {
-            for simd in [SimdPolicy::Lanes4, SimdPolicy::Scalar] {
-                let policy = ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd);
-                let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
-                let label = format!("threads={threads} pool={pool} simd={simd:?}");
-                assert_eq!(
-                    supervision.membership(),
-                    reference.membership(),
-                    "membership diverged under {label}"
-                );
-                assert_eq!(
-                    supervision.n_clusters(),
-                    reference.n_clusters(),
-                    "cluster count diverged under {label}"
-                );
-                assert_eq!(
-                    supervision.covered_indices(),
-                    reference.covered_indices(),
-                    "coverage diverged under {label}"
-                );
-                assert_eq!(
-                    draw, reference_draw,
-                    "caller RNG consumption diverged under {label}"
-                );
-            }
+        for simd in [SimdPolicy::Lanes4, SimdPolicy::Scalar] {
+            let policy = ParallelPolicy::new(threads)
+                .with_min_rows_per_thread(1)
+                .with_simd(simd);
+            let (supervision, draw) = build(&data, policy, VotingPolicy::Unanimous);
+            let label = format!("threads={threads} simd={simd:?}");
+            assert_eq!(
+                supervision.membership(),
+                reference.membership(),
+                "membership diverged under {label}"
+            );
+            assert_eq!(
+                supervision.n_clusters(),
+                reference.n_clusters(),
+                "cluster count diverged under {label}"
+            );
+            assert_eq!(
+                supervision.covered_indices(),
+                reference.covered_indices(),
+                "coverage diverged under {label}"
+            );
+            assert_eq!(
+                draw, reference_draw,
+                "caller RNG consumption diverged under {label}"
+            );
         }
     }
 }
@@ -100,9 +97,7 @@ fn consensus_is_identical_to_serial_across_the_policy_grid() {
 #[test]
 fn pooled_consensus_matches_serial_for_every_voting_policy() {
     let data = blobs();
-    let pooled = ParallelPolicy::new(4)
-        .with_min_rows_per_thread(1)
-        .with_pool(true);
+    let pooled = ParallelPolicy::new(4).with_min_rows_per_thread(1);
     for voting in [
         VotingPolicy::Unanimous,
         VotingPolicy::Majority,

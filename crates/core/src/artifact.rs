@@ -751,18 +751,14 @@ mod tests {
             let serial = pre
                 .transform_with(&unseen, &ParallelPolicy::serial())
                 .unwrap();
-            for pool in [false, true] {
-                let policy = ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool);
-                let par = pre.transform_with(&unseen, &policy).unwrap();
-                let same = serial
-                    .as_slice()
-                    .iter()
-                    .zip(par.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{:?} pool = {pool}", pre.kind());
-            }
+            let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+            let par = pre.transform_with(&unseen, &policy).unwrap();
+            let same = serial
+                .as_slice()
+                .iter()
+                .zip(par.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{:?}", pre.kind());
         }
     }
 
@@ -778,23 +774,18 @@ mod tests {
             .artifact
             .assign_with(&rows, &ParallelPolicy::serial())
             .unwrap();
-        for pool in [false, true] {
-            let policy = ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(pool);
-            let par = f.artifact.features_with(&rows, &policy).unwrap();
-            let same = serial
-                .as_slice()
-                .iter()
-                .zip(par.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "pool = {pool}");
-            assert_eq!(
-                f.artifact.assign_with(&rows, &policy).unwrap(),
-                serial_assign,
-                "pool = {pool}"
-            );
-        }
+        let policy = ParallelPolicy::new(4).with_min_rows_per_thread(1);
+        let par = f.artifact.features_with(&rows, &policy).unwrap();
+        let same = serial
+            .as_slice()
+            .iter()
+            .zip(par.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same);
+        assert_eq!(
+            f.artifact.assign_with(&rows, &policy).unwrap(),
+            serial_assign
+        );
     }
 
     #[test]

@@ -602,14 +602,6 @@ mod tests {
             ParallelPolicy::serial(),
             ParallelPolicy::new(4).with_min_rows_per_thread(1),
             ParallelPolicy::new(7).with_min_rows_per_thread(2),
-            // Persistent-pool dispatch: same identity contract, reusing the
-            // process-global workers across all epochs.
-            ParallelPolicy::new(4)
-                .with_min_rows_per_thread(1)
-                .with_pool(true),
-            ParallelPolicy::new(7)
-                .with_min_rows_per_thread(2)
-                .with_pool(true),
             // The SIMD axis: the scalar fallback computes the same
             // canonical reduction order as the unrolled default, so the
             // trained parameters must stay identical with SIMD forced off,
@@ -617,7 +609,6 @@ mod tests {
             ParallelPolicy::serial().with_simd(sls_linalg::SimdPolicy::Scalar),
             ParallelPolicy::new(4)
                 .with_min_rows_per_thread(1)
-                .with_pool(true)
                 .with_simd(sls_linalg::SimdPolicy::Scalar),
         ] {
             let mut model = Rbm::new(6, 4, &mut rng());

@@ -217,7 +217,6 @@ mod tests {
     const POL: ParallelPolicy = ParallelPolicy {
         threads: 1,
         min_rows_per_thread: 64,
-        pool: false,
         simd: sls_linalg::SimdPolicy::Lanes4,
         chunk_rows: 0,
     };

@@ -252,17 +252,6 @@ mod tests {
         for threads in [2, 8] {
             let par = train_one(ParallelPolicy::new(threads).with_min_rows_per_thread(1));
             assert_eq!(serial.params(), par.params(), "threads = {threads}");
-            // Same identity through the persistent worker pool.
-            let pooled = train_one(
-                ParallelPolicy::new(threads)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(true),
-            );
-            assert_eq!(
-                serial.params(),
-                pooled.params(),
-                "pooled threads = {threads}"
-            );
             // And with the SIMD layer forced to its scalar fallback: same
             // canonical reduction order, identical trained parameters.
             let scalar_simd = train_one(

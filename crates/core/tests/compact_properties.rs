@@ -3,7 +3,7 @@
 //! The serving contract for compact mode is documented in the `compact`
 //! module: every feature element stays within `1e-6 · (1 + |full|)` of the
 //! full-precision path, and the compact forward pass is bitwise identical
-//! across the {serial, spawn, pool} × {simd on, simd off} policy grid.
+//! across the {serial, pool} × {simd on, simd off} policy grid.
 //! These properties enforce both on randomly generated artifacts (weights,
 //! biases, preprocessors and cluster heads far rougher than anything
 //! training produces) and on every serving endpoint's compute: `/features`
@@ -26,21 +26,18 @@ struct Case {
     rows: Matrix,
 }
 
-/// The {serial, spawn, pool} × {simd on, simd off} grid the acceptance
+/// The {serial, pool} × {simd on, simd off} grid the acceptance
 /// criteria name, with an eager cutover so the 4-thread policies really fan
 /// out on the generated row counts.
 fn policy_grid() -> Vec<ParallelPolicy> {
     let mut grid = Vec::new();
     for simd in [SimdPolicy::Scalar, SimdPolicy::Lanes4] {
         grid.push(ParallelPolicy::serial().with_simd(simd));
-        for pool in [false, true] {
-            grid.push(
-                ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(pool)
-                    .with_simd(simd),
-            );
-        }
+        grid.push(
+            ParallelPolicy::new(4)
+                .with_min_rows_per_thread(1)
+                .with_simd(simd),
+        );
     }
     grid
 }

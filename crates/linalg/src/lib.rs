@@ -24,8 +24,7 @@
 //!   parallel variants behind [`ParallelPolicy`] (see the `*_with` methods);
 //!   parallel results are **bitwise identical** to serial ones, so turning
 //!   parallelism on never changes a reproduced number. Fanned-out kernels
-//!   run on scoped threads or, with the policy's `pool` flag, on the
-//!   persistent [`WorkerPool`] that removes per-call thread-spawn latency.
+//!   run on the persistent [`WorkerPool`], the one parallel executor.
 //! * The kernel inner loops run through the [`mod@simd`] layer: manually
 //!   unrolled 4-lane building blocks (autovectorisable on stable Rust) with
 //!   a scalar fallback ([`SimdPolicy`], env `SLS_SIMD`) that computes the
@@ -65,7 +64,7 @@ pub use norms::{
     euclidean_distance, pairwise_distances, pairwise_distances_with, squared_euclidean_distance,
 };
 pub use parallel::{
-    ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_POOL, ENV_SIMD, ENV_THREADS,
+    ParallelPolicy, DEFAULT_MIN_ROWS_PER_THREAD, ENV_MIN_ROWS, ENV_SIMD, ENV_THREADS,
 };
 pub use pool::{PoolScope, WorkerPool};
 pub use random::MatrixRandomExt;

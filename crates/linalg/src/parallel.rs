@@ -3,9 +3,8 @@
 //! Every product in the workspace's hot paths — `V·W` (visible → hidden
 //! pre-activations), `H·Wᵀ` (reconstruction) and `Vᵀ·H` (CD statistics) —
 //! writes each output row independently, so the natural parallel
-//! decomposition is to hand contiguous blocks of *output rows* to scoped
-//! threads ([`std::thread::scope`], no extra dependency, no `'static`
-//! bounds).
+//! decomposition is to hand contiguous chunks of *output rows* to the
+//! process-wide persistent [`WorkerPool`], the one parallel executor.
 //!
 //! ## Bitwise reproducibility
 //!
@@ -13,30 +12,21 @@
 //! element across threads: each output row is produced by exactly one
 //! thread running the exact serial inner loop, in the exact serial
 //! accumulation order. Parallel results are therefore **bitwise identical**
-//! to serial results for every thread count — the paper's tables reproduce
-//! identically whether a run used 1 thread or 16. The property tests in
-//! `tests/properties.rs` assert this across random shapes and policies.
+//! to serial results for every thread count and chunk size — the paper's
+//! tables reproduce identically whether a run used 1 thread or 16. The
+//! property tests in `tests/properties.rs` assert this across random shapes
+//! and policies.
 //!
 //! ## Policy
 //!
 //! [`ParallelPolicy`] carries the thread budget and a `min_rows_per_thread`
 //! cutover: a kernel only fans out when every thread would receive at least
 //! that many rows, so small matrices (single serving rows, tiny batches)
-//! never pay thread-spawn latency. The process-wide default policy is
-//! serial; it can be overridden programmatically
-//! ([`ParallelPolicy::set_global`]) or through the environment
-//! (`SLS_PARALLEL_THREADS`, `SLS_PARALLEL_MIN_ROWS`, `SLS_PARALLEL_POOL`),
-//! which is how CI runs the whole test suite with parallel kernels forced
-//! on.
-//!
-//! ## Dispatch: spawn-per-call vs the persistent pool
-//!
-//! A fanned-out kernel executes its row bands either on fresh scoped
-//! threads (`pool = false`, the spawn-per-call path) or on the process-wide
-//! persistent [`WorkerPool`] (`pool = true`), which removes the ~10–50 µs
-//! thread-spawn cost from every call — the difference that makes small
-//! serving micro-batches profitable to parallelise. Both paths run the
-//! identical per-row code, so the choice never changes a single output bit.
+//! never pay dispatch overhead. The process-wide default policy is serial;
+//! it can be overridden programmatically ([`ParallelPolicy::set_global`])
+//! or through the environment (`SLS_PARALLEL_THREADS`,
+//! `SLS_PARALLEL_MIN_ROWS`, `SLS_PARALLEL_CHUNK_ROWS`, `SLS_SIMD`), which is
+//! how CI runs the whole test suite with parallel kernels forced on.
 
 use crate::pool::WorkerPool;
 use crate::simd::{self, SimdPolicy};
@@ -56,11 +46,7 @@ pub const ENV_THREADS: &str = "SLS_PARALLEL_THREADS";
 /// Environment variable overriding the global `min_rows_per_thread` cutover.
 pub const ENV_MIN_ROWS: &str = "SLS_PARALLEL_MIN_ROWS";
 
-/// Environment variable enabling the persistent worker pool for the global
-/// policy (`1`/`true` to enable, `0`/`false` to disable).
-pub const ENV_POOL: &str = "SLS_PARALLEL_POOL";
-
-/// Environment variable overriding the global pooled-dispatch chunk size
+/// Environment variable overriding the global dispatch chunk size
 /// (rows per chunk; `0` = adaptive — see [`ParallelPolicy::chunk_rows`]).
 pub const ENV_CHUNK_ROWS: &str = "SLS_PARALLEL_CHUNK_ROWS";
 
@@ -73,7 +59,6 @@ pub const ENV_SIMD: &str = "SLS_SIMD";
 static GLOBAL_INIT: Once = Once::new();
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(1);
 static GLOBAL_MIN_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_ROWS_PER_THREAD);
-static GLOBAL_POOL: AtomicBool = AtomicBool::new(false);
 static GLOBAL_SIMD: AtomicBool = AtomicBool::new(true);
 static GLOBAL_CHUNK_ROWS: AtomicUsize = AtomicUsize::new(0);
 
@@ -91,18 +76,14 @@ pub struct ParallelPolicy {
     /// A kernel stays serial unless every thread would receive at least
     /// this many output rows.
     pub min_rows_per_thread: usize,
-    /// Execute row bands on the process-wide persistent [`WorkerPool`]
-    /// instead of spawning scoped threads per call. Outputs are bitwise
-    /// identical either way; the pool only removes per-call spawn latency.
-    pub pool: bool,
     /// Which inner-loop execution layer the kernels use: the unrolled
     /// autovectorisable form ([`SimdPolicy::Lanes4`], the default) or the
     /// scalar fallback. Both compute the same canonical reduction order, so
     /// outputs are bitwise identical either way.
     pub simd: SimdPolicy,
-    /// Rows per chunk for pooled dispatch; `0` (the default) sizes chunks
-    /// adaptively from the row count and a per-row cost hint (see
-    /// [`ParallelPolicy::chunk_rows`]). Pooled kernel calls are split into
+    /// Rows per chunk for fanned-out dispatch; `0` (the default) sizes
+    /// chunks adaptively from the row count and a per-row cost hint (see
+    /// [`ParallelPolicy::chunk_rows`]). Fanned-out kernel calls are split into
     /// *more chunks than threads* so the pool's work-stealing can rebalance
     /// ragged per-row costs; the chunk size only reorders *when* a row is
     /// computed, never its accumulation order, so every value is bitwise
@@ -111,16 +92,15 @@ pub struct ParallelPolicy {
 }
 
 // Hand-written (de)serialisation instead of the derive: `ParallelPolicy`
-// has been a public `Serialize`/`Deserialize` type since before the `pool`,
-// `simd` and `chunk_rows` fields existed, so policy JSON persisted by
-// earlier builds lacks them. The vendored derive treats every named field
-// as required (it skips attributes, so `#[serde(default)]` would be
-// silently ignored); these impls accept a missing `pool` as `false` — the
-// exact behaviour of the builds that wrote such documents — a missing
-// `simd` as enabled, and a missing `chunk_rows` as adaptive (`0`), the
-// crate-wide defaults (safe because neither the SIMD layer nor the chunk
-// size ever changes an output bit, unlike `pool = true` which would change
-// *which threads* run).
+// has been a public `Serialize`/`Deserialize` type since before the `simd`
+// and `chunk_rows` fields existed, so policy JSON persisted by earlier
+// builds lacks them. The vendored derive treats every named field as
+// required (it skips attributes, so `#[serde(default)]` would be silently
+// ignored); these impls accept a missing `simd` as enabled and a missing
+// `chunk_rows` as adaptive (`0`), the crate-wide defaults (safe because
+// neither ever changes an output bit). Documents from builds that had a
+// spawn-vs-pool `pool` switch still load: the key is ignored, since the
+// pool is now the only executor and the executor never changes a bit.
 impl serde::Serialize for ParallelPolicy {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -129,7 +109,6 @@ impl serde::Serialize for ParallelPolicy {
                 "min_rows_per_thread".to_string(),
                 self.min_rows_per_thread.to_value(),
             ),
-            ("pool".to_string(), self.pool.to_value()),
             ("simd".to_string(), self.simd.is_enabled().to_value()),
             ("chunk_rows".to_string(), self.chunk_rows.to_value()),
         ])
@@ -141,10 +120,6 @@ impl serde::Deserialize for ParallelPolicy {
         let entries = value
             .as_object()
             .ok_or_else(|| serde::DeError::mismatch("object", value))?;
-        let pool = match entries.iter().find(|(name, _)| name == "pool") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => false,
-        };
         let simd = match entries.iter().find(|(name, _)| name == "simd") {
             Some((_, v)) => SimdPolicy::from_enabled(serde::Deserialize::from_value(v)?),
             None => SimdPolicy::default(),
@@ -159,7 +134,6 @@ impl serde::Deserialize for ParallelPolicy {
                 entries,
                 "min_rows_per_thread",
             )?)?,
-            pool,
             simd,
             chunk_rows,
         })
@@ -179,7 +153,6 @@ impl ParallelPolicy {
         Self {
             threads: 1,
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            pool: false,
             simd: SimdPolicy::default(),
             chunk_rows: 0,
         }
@@ -191,7 +164,6 @@ impl ParallelPolicy {
         Self {
             threads: resolve_threads(threads),
             min_rows_per_thread: DEFAULT_MIN_ROWS_PER_THREAD,
-            pool: false,
             simd: SimdPolicy::default(),
             chunk_rows: 0,
         }
@@ -208,11 +180,10 @@ impl ParallelPolicy {
         self
     }
 
-    /// Routes fanned-out kernels through the process-wide persistent
-    /// [`WorkerPool`] instead of spawning scoped threads per call. Results
-    /// are bitwise identical either way.
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
+    /// No-op kept for source compatibility: fanned-out kernels always run
+    /// on the persistent [`WorkerPool`], so there is no dispatch to choose.
+    #[deprecated(note = "the worker pool is the only executor; drop the call")]
+    pub fn with_pool(self, _pool: bool) -> Self {
         self
     }
 
@@ -224,7 +195,7 @@ impl ParallelPolicy {
         self
     }
 
-    /// Fixes the pooled-dispatch chunk size to `chunk_rows` rows per chunk
+    /// Fixes the dispatch chunk size to `chunk_rows` rows per chunk
     /// (`0` restores the adaptive default). Results are bitwise identical
     /// for every chunk size — the knob only trades scheduling overhead
     /// against stealing granularity.
@@ -233,11 +204,11 @@ impl ParallelPolicy {
         self
     }
 
-    /// Parses the boolean spellings accepted wherever a pool flag is read —
-    /// the `SLS_PARALLEL_POOL` environment variable and CLI `--pool` flags:
-    /// `1`/`true` and `0`/`false`, case-insensitively, ignoring surrounding
-    /// whitespace. One parser for every surface, so no spelling is accepted
-    /// in one place and rejected in another.
+    /// Parses the boolean spellings accepted wherever a boolean switch is
+    /// read — the `SLS_SIMD` environment variable and CLI flags such as
+    /// `--simd`: `1`/`true` and `0`/`false`, case-insensitively, ignoring
+    /// surrounding whitespace. One parser for every surface, so no spelling
+    /// is accepted in one place and rejected in another.
     pub fn parse_bool(raw: &str) -> Option<bool> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "1" | "true" => Some(true),
@@ -261,7 +232,7 @@ impl ParallelPolicy {
         self.threads.max(1).min(rows / per_thread).max(1)
     }
 
-    /// Rows per chunk a pooled kernel call producing `rows` output rows
+    /// Rows per chunk a fanned-out kernel call producing `rows` output rows
     /// should be split into, given `threads` participating threads and a
     /// per-row cost hint (`row_cost`, roughly the number of f64 operations
     /// one output row performs).
@@ -306,9 +277,7 @@ impl ParallelPolicy {
     ///
     /// On first use it is initialised from the environment: `SLS_PARALLEL_THREADS`
     /// (`0` = one thread per core), `SLS_PARALLEL_MIN_ROWS`,
-    /// `SLS_PARALLEL_POOL` (`1`/`true` routes kernels through the
-    /// persistent worker pool), `SLS_PARALLEL_CHUNK_ROWS` (rows per pooled
-    /// chunk; `0` = adaptive) and `SLS_SIMD` (`0`/`false` selects the
+    /// `SLS_PARALLEL_CHUNK_ROWS` (rows per chunk; `0` = adaptive) and `SLS_SIMD` (`0`/`false` selects the
     /// scalar fallback inner loops; default on). Without those variables
     /// the default is serial with SIMD enabled and adaptive chunking.
     ///
@@ -322,7 +291,6 @@ impl ParallelPolicy {
         Self {
             threads: GLOBAL_THREADS.load(Ordering::Relaxed),
             min_rows_per_thread: GLOBAL_MIN_ROWS.load(Ordering::Relaxed),
-            pool: GLOBAL_POOL.load(Ordering::Relaxed),
             simd: SimdPolicy::from_enabled(GLOBAL_SIMD.load(Ordering::Relaxed)),
             chunk_rows: GLOBAL_CHUNK_ROWS.load(Ordering::Relaxed),
         }
@@ -339,7 +307,6 @@ impl ParallelPolicy {
         GLOBAL_INIT.call_once(|| {});
         GLOBAL_THREADS.store(policy.threads.max(1), Ordering::Relaxed);
         GLOBAL_MIN_ROWS.store(policy.min_rows_per_thread.max(1), Ordering::Relaxed);
-        GLOBAL_POOL.store(policy.pool, Ordering::Relaxed);
         GLOBAL_SIMD.store(policy.simd.is_enabled(), Ordering::Relaxed);
         GLOBAL_CHUNK_ROWS.store(policy.chunk_rows, Ordering::Relaxed);
     }
@@ -363,9 +330,6 @@ fn init_global_from_env() {
         }
         if let Some(min_rows) = read_env_usize(ENV_MIN_ROWS) {
             GLOBAL_MIN_ROWS.store(min_rows.max(1), Ordering::Relaxed);
-        }
-        if let Some(pool) = read_env_bool(ENV_POOL) {
-            GLOBAL_POOL.store(pool, Ordering::Relaxed);
         }
         if let Some(simd) = read_env_bool(ENV_SIMD) {
             GLOBAL_SIMD.store(simd, Ordering::Relaxed);
@@ -398,34 +362,30 @@ fn read_env_bool(name: &str) -> Option<bool> {
     }
 }
 
-/// Splits `out` into contiguous row blocks and runs `work` on each block
+/// Splits `out` into contiguous row chunks and runs `work` on each chunk
 /// under `policy` — inline when the effective thread count is 1, otherwise
-/// on scoped threads (spawn-per-call, one equal band per thread) or the
-/// persistent [`WorkerPool`] (chunked, see below).
+/// on the persistent [`WorkerPool`].
 ///
 /// `work` receives the half-open range of row indices it owns and the
 /// mutable storage of exactly those rows. `row_cost` is the kernel's
 /// estimate of f64 operations per output row — the cost hint adaptive
 /// chunking sizes chunks with.
 ///
-/// On the pool path the call is split into *more chunks than threads*
+/// A fanned-out call is split into *more chunks than threads*
 /// ([`ParallelPolicy::chunk_rows`]): equal row counts are not equal costs
 /// once per-row work is ragged, and over-partitioning plus the pool's
 /// steal-half scheduling keeps every thread busy until the last chunk
 /// retires instead of idling behind one straggling band. Chunk boundaries
 /// never split a row's accumulation, so output is bitwise identical for
-/// every chunk size, thread count and dispatch mode. The calling thread
-/// executes the first chunk itself, then drains its scope's remaining
-/// chunks through the pool's help path.
+/// every chunk size and thread count. The calling thread executes the
+/// first chunk itself, then drains its scope's remaining chunks through the
+/// pool's help path.
 ///
 /// When already executing a pool job (a nested kernel inside a row closure
 /// — whether that closure runs on a worker thread or on a scope waiter's
-/// help path), the work runs inline *regardless of the nested policy's
-/// `pool` flag*: a nested pooled call would round-trip the queues for no
-/// win, and a nested spawn-path call would stack fresh scoped threads on
-/// top of already-busy workers — every pool thread is computing, so inline
-/// is both the cheapest and the only non-oversubscribing choice. The
-/// inline result is bitwise identical anyway.
+/// help path), the work runs inline: every pool thread is already
+/// computing, so a nested fan-out would round-trip the queues for no win.
+/// The inline result is bitwise identical anyway.
 fn for_each_row_block(
     out: &mut [f64],
     rows: usize,
@@ -434,56 +394,29 @@ fn for_each_row_block(
     policy: &ParallelPolicy,
     work: &(impl Fn(Range<usize>, &mut [f64]) + Sync),
 ) {
-    let mut threads = policy.effective_threads(rows);
-    if threads > 1 && WorkerPool::on_worker_thread() {
-        threads = 1;
-    }
-    if threads == 1 {
+    let threads = policy.effective_threads(rows);
+    if threads == 1 || WorkerPool::on_worker_thread() {
         work(0..rows, out);
         return;
     }
-    if policy.pool {
-        let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
-        let mut blocks = Vec::with_capacity(rows.div_ceil(chunk_rows));
-        let mut rest = out;
-        let mut start = 0;
-        while start < rows {
-            let block_rows = chunk_rows.min(rows - start);
-            let (block, tail) = rest.split_at_mut(block_rows * row_width);
-            rest = tail;
-            blocks.push((start..start + block_rows, block));
-            start += block_rows;
-        }
-        WorkerPool::global().scope(|scope| {
-            let mut blocks = blocks.into_iter();
-            let (first_range, first_block) = blocks.next().expect("rows >= 1 chunk");
-            for (range, block) in blocks {
-                scope.spawn(move || work(range, block));
-            }
-            // The submitter is a full participant: it processes the first
-            // chunk while the workers process (and steal) the rest, then
-            // helps drain this scope's remaining chunks.
-            work(first_range, first_block);
+    let chunk_rows = policy.chunk_rows(rows, row_cost, threads);
+    let mut blocks = out
+        .chunks_mut(chunk_rows * row_width)
+        .enumerate()
+        .map(|(c, block)| {
+            let start = c * chunk_rows;
+            (start..start + block.len() / row_width, block)
         });
-    } else {
-        let base = rows / threads;
-        let extra = rows % threads;
-        let mut blocks = Vec::with_capacity(threads);
-        let mut rest = out;
-        let mut start = 0;
-        for t in 0..threads {
-            let block_rows = base + usize::from(t < extra);
-            let (block, tail) = rest.split_at_mut(block_rows * row_width);
-            rest = tail;
-            blocks.push((start..start + block_rows, block));
-            start += block_rows;
+    let (first_range, first_block) = blocks.next().expect("rows >= 1 chunk");
+    WorkerPool::global().scope(|scope| {
+        for (range, block) in blocks {
+            scope.spawn(move || work(range, block));
         }
-        std::thread::scope(|scope| {
-            for (range, block) in blocks {
-                scope.spawn(move || work(range, block));
-            }
-        });
-    }
+        // The submitter is a full participant: it processes the first
+        // chunk while the workers process (and steal) the rest, then
+        // helps drain this scope's remaining chunks.
+        work(first_range, first_block);
+    });
 }
 
 impl Matrix {
@@ -757,15 +690,12 @@ mod tests {
         let p = ParallelPolicy::default();
         assert!(p.is_serial());
         assert_eq!(p.threads, 1);
-        assert!(!p.pool, "pooled dispatch must be opt-in");
         assert_eq!(p.simd, SimdPolicy::Lanes4, "SIMD must be on by default");
         let q = ParallelPolicy::new(8)
             .with_min_rows_per_thread(16)
-            .with_pool(true)
             .with_simd(SimdPolicy::Scalar);
         assert_eq!(q.threads, 8);
         assert_eq!(q.min_rows_per_thread, 16);
-        assert!(q.pool);
         assert_eq!(q.simd, SimdPolicy::Scalar);
         assert!(!q.is_serial());
         // 0 resolves to the core count, which is at least 1.
@@ -783,23 +713,30 @@ mod tests {
     fn policy_serde_round_trips_and_reads_pre_pool_documents() {
         let p = ParallelPolicy::new(3)
             .with_min_rows_per_thread(7)
-            .with_pool(true)
-            .with_simd(SimdPolicy::Scalar);
+            .with_simd(SimdPolicy::Scalar)
+            .with_chunk_rows(5);
         let json = serde_json::to_string(&p).unwrap();
+        assert!(!json.contains("pool"), "no `pool` key is written: {json}");
         let back: ParallelPolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-        // Policy JSON written before the `pool` / `simd` fields existed
-        // still loads: no pool (the old behaviour), SIMD on (the default —
-        // safe because the SIMD layer never changes an output bit).
+        // Documents from builds with a spawn-vs-pool switch still load; the
+        // `pool` key is ignored, whichever way it was set.
+        for pool in ["true", "false"] {
+            let with_pool = format!(
+                "{{\"threads\": 3, \"min_rows_per_thread\": 7, \"pool\": {pool}, \
+                 \"simd\": false, \"chunk_rows\": 5}}"
+            );
+            let back: ParallelPolicy = serde_json::from_str(&with_pool).unwrap();
+            assert_eq!(back, p, "pool {pool}");
+        }
+        // Policy JSON written before the `pool` / `simd` / `chunk_rows`
+        // fields existed still loads: SIMD on and adaptive chunks (the
+        // defaults — safe because neither ever changes an output bit).
         let legacy = "{\"threads\": 5, \"min_rows_per_thread\": 2}";
         let back: ParallelPolicy = serde_json::from_str(legacy).unwrap();
-        assert_eq!(
-            back,
-            ParallelPolicy::new(5)
-                .with_min_rows_per_thread(2)
-                .with_pool(false)
-        );
+        assert_eq!(back, ParallelPolicy::new(5).with_min_rows_per_thread(2));
         assert_eq!(back.simd, SimdPolicy::Lanes4);
+        assert_eq!(back.chunk_rows, 0);
     }
 
     #[test]
@@ -927,8 +864,6 @@ mod tests {
         let serial = a.matmul_with(&b, &ParallelPolicy::serial()).unwrap();
         let par = a.matmul_with(&b, &eager(16)).unwrap();
         assert!(bitwise_eq(&serial, &par));
-        let pooled = a.matmul_with(&b, &eager(16).with_pool(true)).unwrap();
-        assert!(bitwise_eq(&serial, &pooled));
     }
 
     #[test]
@@ -939,7 +874,7 @@ mod tests {
         let h = Matrix::random_normal(43, 9, 0.0, 1.0, &mut r);
         let serial = ParallelPolicy::serial();
         for threads in [2, 4, 8] {
-            let pooled = eager(threads).with_pool(true);
+            let pooled = eager(threads);
             assert!(bitwise_eq(
                 &a.matmul_with(&w, &serial).unwrap(),
                 &a.matmul_with(&w, &pooled).unwrap(),
@@ -1009,11 +944,10 @@ mod tests {
         let reference = a
             .matmul_with(&w, &ParallelPolicy::serial().with_simd(SimdPolicy::Scalar))
             .unwrap();
-        for pool in [false, true] {
+        for policy in [ParallelPolicy::serial(), eager(4)] {
             for simd in [SimdPolicy::Scalar, SimdPolicy::Lanes4] {
-                let policy = eager(4).with_pool(pool).with_simd(simd);
-                let out = a.matmul_with(&w, &policy).unwrap();
-                assert!(bitwise_eq(&reference, &out), "pool {pool} simd {simd:?}");
+                let out = a.matmul_with(&w, &policy.with_simd(simd)).unwrap();
+                assert!(bitwise_eq(&reference, &out), "{policy:?} simd {simd:?}");
             }
         }
     }
@@ -1027,7 +961,7 @@ mod tests {
         let mut r = rng();
         let m = Matrix::random_normal(24, 6, 0.0, 1.0, &mut r);
         let w = Matrix::random_normal(6, 3, 0.0, 1.0, &mut r);
-        let pooled = eager(4).with_pool(true);
+        let pooled = eager(4);
         let out = m.map_rows_with(3, &pooled, |i, _, out_row| {
             // Nested pooled product over the shared operands.
             let inner = m.matmul_with(&w, &pooled).unwrap();

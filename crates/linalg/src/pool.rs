@@ -1,12 +1,12 @@
-//! A persistent work-stealing worker pool for the parallel kernels.
+//! A persistent work-stealing worker pool: the one parallel executor.
 //!
-//! The scoped-thread dispatch in [`crate::ParallelPolicy`]'s kernels spawns
-//! OS threads on every call (~10–50 µs each), which erases the multi-core
-//! win exactly where it matters most: small serving micro-batches, where the
-//! kernel itself runs for comparable time. [`WorkerPool`] removes that cost
-//! by parking N long-lived workers on per-worker deques
-//! ([`std::sync::Mutex`] + [`std::sync::Condvar`], no new dependencies) and
-//! handing them row-chunk tasks through [`WorkerPool::scope`].
+//! Every fanned-out kernel under a [`crate::ParallelPolicy`], and every
+//! fanned-out consensus task, runs on [`WorkerPool::global`]. Spawning OS
+//! threads per call (~10–50 µs each) would erase the multi-core win exactly
+//! where it matters most — small serving micro-batches, where the kernel
+//! itself runs for comparable time — so the pool parks N long-lived workers
+//! on per-worker deques ([`std::sync::Mutex`] + [`std::sync::Condvar`], no
+//! new dependencies) and hands them tasks through [`WorkerPool::scope`].
 //!
 //! ## Work-stealing scheduling
 //!
@@ -52,10 +52,10 @@
 //!
 //! A thread waiting on a scope does not merely sleep: it *helps*, draining
 //! its own scope's queued tasks until the scope completes. A nested `scope`
-//! on a pool worker — or a pooled kernel reached through an intermediate
-//! spawn-path scoped thread — therefore executes its tasks itself rather
-//! than waiting for a worker that is blocked further up the same call
-//! stack, so no nesting shape can deadlock the pool. Helping is bounded to
+//! on a pool worker — or a pooled kernel called from a plain thread that a
+//! pool worker is itself blocked on — therefore executes its tasks itself
+//! rather than waiting for a worker that is blocked further up the same
+//! call stack, so no nesting shape can deadlock the pool. Helping is bounded to
 //! the waiting scope's *own* tasks: each scope's latch keeps its own list of
 //! still-queued tasks, so the help loop pops from that list in O(1) per task
 //! — it never scans (or even locks) the pool's shared queues, and a small
@@ -344,18 +344,17 @@ impl WorkerPool {
     ///
     /// Kernels use this to short-circuit nested dispatch: a task already
     /// executing on behalf of the pool runs nested row chunks inline instead
-    /// of round-tripping them through the queues — and that holds for *any*
-    /// nested policy, pooled or spawn-path, because spawning fresh scoped
-    /// threads from inside a pool task would oversubscribe the machine just
-    /// the same. This is an optimisation, not the liveness guarantee —
-    /// waiting scopes help drain their own tasks, so even un-flagged nesting
-    /// cannot deadlock.
+    /// of round-tripping them through the queues, whatever the nested
+    /// policy's thread budget. This is an optimisation, not the liveness
+    /// guarantee — waiting scopes help drain their own tasks, so even
+    /// un-flagged nesting cannot deadlock.
     pub fn on_worker_thread() -> bool {
         ON_POOL_WORKER.with(Cell::get)
     }
 
-    /// The process-global pool used by the kernels when a
-    /// [`crate::ParallelPolicy`] has its `pool` flag set.
+    /// The process-global pool: the executor every fanned-out kernel and
+    /// consensus task runs on (a [`crate::ParallelPolicy`]'s `threads`
+    /// decides only whether a call fans out and how it is chunked).
     ///
     /// Lazily started on first use with one worker per available core minus
     /// one (at least one) — the submitting thread always executes one row
@@ -427,8 +426,7 @@ impl WorkerPool {
 ///
 /// The helping is what makes `scope` deadlock-free under *any* nesting: a
 /// scope waited on from a pool worker (re-entrant `scope`), or from a
-/// thread a pool worker is itself blocked on (a pooled kernel reached
-/// through an intermediate spawn-path scoped thread), drains its own tasks
+/// plain thread a pool worker is itself blocked on, drains its own tasks
 /// instead of waiting for a worker that will never come.
 ///
 /// Help is bounded to the waiting scope's own tasks on purpose: executing

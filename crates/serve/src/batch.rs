@@ -20,7 +20,7 @@
 //! Every kernel behind `/features` and `/assign` (preprocessing, the
 //! matmul, the fused bias+sigmoid map, nearest-centroid lookup) computes
 //! each output row from its input row alone, in a canonical per-row
-//! accumulation order that the whole repo's `{serial, spawn, pool} ×
+//! accumulation order that the whole repo's `{serial, pool} ×
 //! {simd on, off}` identity suite pins down. Concatenating request rows
 //! therefore changes *which* rows sit in one launch but not a single bit of
 //! any row's result — testable with `f64::to_bits`, and tested in

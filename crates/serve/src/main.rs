@@ -4,9 +4,9 @@
 //! ```sh
 //! sls-serve export --out artifacts [--name quick_demo] [--model sls-grbm]
 //!                  [--instances 90] [--dims 8] [--clusters 3] [--seed 2023]
-//!                  [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+//!                  [--threads N] [--min-par-rows N] [--simd 0|1]
 //! sls-serve serve  --dir artifacts [--addr 127.0.0.1:7878] [--workers 8]
-//!                  [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+//!                  [--threads N] [--min-par-rows N] [--simd 0|1]
 //!                  [--keep-alive 0|1] [--keepalive-timeout-ms N]
 //!                  [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
 //!                  [--batch-window-us N] [--batch-max-rows N]
@@ -17,13 +17,13 @@
 //! ```
 //!
 //! `--threads` sets the parallel linalg policy (`0` = one thread per core);
-//! `--min-par-rows` sets the serial cutover (matrices with fewer output rows
-//! per thread stay serial); `--pool 1` routes fanned-out kernels through the
-//! persistent worker pool (constructed at bind time, shared by all HTTP
-//! workers) instead of spawning threads per call, also reachable via
-//! `SLS_PARALLEL_POOL=1`; `--simd 0` selects the scalar fallback inner
-//! loops (`SLS_SIMD=0`), default on. Results are bitwise identical for
-//! every policy.
+//! fanned-out kernels run on the persistent worker pool (for `serve`,
+//! started at bind time and shared by all HTTP workers). `--min-par-rows`
+//! sets the serial cutover (matrices with fewer output rows per thread stay
+//! serial); `--simd 0` selects the scalar fallback inner loops
+//! (`SLS_SIMD=0`), default on. Every other policy field, such as
+//! `SLS_PARALLEL_CHUNK_ROWS`, comes from the environment. Results are
+//! bitwise identical for every policy.
 //!
 //! Connection handling: `--keep-alive 0` restores one-request-per-connection;
 //! `--keepalive-timeout-ms` bounds how long an idle connection is held
@@ -48,11 +48,10 @@
 //! change. Export stamps artifacts with `trained_at`/`source` provenance,
 //! reported by `GET /models`.
 //!
-//! The two subcommands default differently when neither flags nor
-//! environment choose: `serve` runs one linalg thread per core with pooled
-//! dispatch — the serving-shaped policy whose pool path CI gates on
-//! multi-core runners — while `export` (training-scale, one-off calls)
-//! keeps the library default of serial spawn-per-call.
+//! The subcommands default differently when neither `--threads` nor
+//! `SLS_PARALLEL_THREADS` chooses: `serve` runs one linalg thread per core,
+//! while `export` and `retrain` keep the library default of serial
+//! kernels.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,7 +72,7 @@ const ENV_COMPACT: &str = "SLS_COMPACT";
 const USAGE: &str = "usage:
   sls-serve export  --out DIR [--name NAME] [--model rbm|grbm|sls-rbm|sls-grbm]
                     [--instances N] [--dims N] [--clusters N] [--seed N]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N] [--simd 0|1]
   sls-serve synth   --out FILE [--instances N] [--dims N] [--clusters N]
                     [--separation X] [--seed N]
   sls-serve retrain --data FILE --out DIR [--name NAME]
@@ -81,9 +80,9 @@ const USAGE: &str = "usage:
                     [--chunk-size N] [--sample-rows N] [--epochs N] [--batch-size N]
                     [--learning-rate X] [--eta X] [--seed N]
                     [--checkpoint FILE] [--stop-after-epochs N] [--has-header 0|1]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N] [--simd 0|1]
   sls-serve serve   --dir DIR [--addr HOST:PORT] [--workers N]
-                    [--threads N] [--min-par-rows N] [--pool 0|1] [--simd 0|1]
+                    [--threads N] [--min-par-rows N] [--simd 0|1]
                     [--keep-alive 0|1] [--keepalive-timeout-ms N]
                     [--max-conn-requests N] [--max-body-bytes N] [--max-conns N]
                     [--batch-window-us N] [--batch-max-rows N]
@@ -129,61 +128,49 @@ fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, Str
     Ok(flags)
 }
 
-/// Builds the linalg parallel policy from `--threads` / `--min-par-rows` /
-/// `--pool` / `--simd`, falling back to the process-wide default (which
-/// honours `SLS_PARALLEL_THREADS` / `SLS_PARALLEL_MIN_ROWS` /
-/// `SLS_PARALLEL_POOL` / `SLS_SIMD`).
+/// Builds the linalg parallel policy: the process-wide default (which
+/// honours every `SLS_PARALLEL_*` variable and `SLS_SIMD`) with
+/// `--threads` / `--min-par-rows` / `--simd` applied on top.
 ///
-/// With `serving = true` (the `serve` subcommand) the silent defaults flip
-/// to the serving-shaped policy: one thread per core and pooled dispatch,
-/// each applied only when neither the flag nor its environment variable is
-/// present — an explicit choice on either surface always wins.
+/// With `serving = true` (the `serve` subcommand) the thread budget
+/// defaults to one thread per core unless `SLS_PARALLEL_THREADS` is set —
+/// an explicit choice on either surface always wins.
 fn parallel_policy(
     flags: &BTreeMap<String, String>,
     serving: bool,
 ) -> Result<ParallelPolicy, String> {
-    let global = ParallelPolicy::global();
-    let policy = match flags.get("threads") {
-        Some(raw) => {
-            let threads: usize = raw
-                .parse()
-                .map_err(|_| format!("invalid value `{raw}` for --threads"))?;
-            ParallelPolicy::new(threads)
-                .with_min_rows_per_thread(global.min_rows_per_thread)
-                .with_pool(global.pool)
-                .with_simd(global.simd)
-        }
-        // Serving default: one linalg thread per core.
-        None if serving && std::env::var(sls_linalg::ENV_THREADS).is_err() => {
-            ParallelPolicy::new(0)
-                .with_min_rows_per_thread(global.min_rows_per_thread)
-                .with_pool(global.pool)
-                .with_simd(global.simd)
-        }
-        None => global,
-    };
-    let pool = match flags.get("pool") {
-        // Serving default: persistent-pool dispatch (cheap per-call fan-out
-        // for small micro-batches; CI gates this path on multi-core
-        // runners).
-        None if serving && std::env::var(sls_linalg::ENV_POOL).is_err() => true,
-        None => policy.pool,
-        // Same parser as SLS_PARALLEL_POOL, so no spelling works in the
-        // environment but fails on the command line.
-        Some(raw) => ParallelPolicy::parse_bool(raw)
-            .ok_or_else(|| format!("invalid value `{raw}` for --pool (use 0/1/true/false)"))?,
+    let per_core = serving && std::env::var(sls_linalg::ENV_THREADS).is_err();
+    apply_policy_flags(ParallelPolicy::global(), flags, per_core)
+}
+
+/// Applies the policy flags to `base`, overriding only the fields a flag
+/// names (and, with `per_core`, the thread budget when `--threads` is
+/// absent), so every environment-set field survives.
+fn apply_policy_flags(
+    base: ParallelPolicy,
+    flags: &BTreeMap<String, String>,
+    per_core: bool,
+) -> Result<ParallelPolicy, String> {
+    let threads = match flags.get("threads") {
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("invalid value `{raw}` for --threads"))?,
+        None if per_core => 0,
+        None => base.threads,
     };
     let simd = match flags.get("simd") {
-        None => policy.simd,
+        None => base.simd,
         Some(raw) => SimdPolicy::from_enabled(
             ParallelPolicy::parse_bool(raw)
                 .ok_or_else(|| format!("invalid value `{raw}` for --simd (use 0/1/true/false)"))?,
         ),
     };
-    Ok(policy
-        .with_min_rows_per_thread(parsed(flags, "min-par-rows", policy.min_rows_per_thread)?)
-        .with_pool(pool)
-        .with_simd(simd))
+    Ok(ParallelPolicy {
+        threads: ParallelPolicy::new(threads).threads,
+        simd,
+        ..base
+    }
+    .with_min_rows_per_thread(parsed(flags, "min-par-rows", base.min_rows_per_thread)?))
 }
 
 fn parsed<T: std::str::FromStr>(
@@ -230,7 +217,6 @@ fn run_export(args: &[String]) -> Result<(), String> {
             "--seed",
             "--threads",
             "--min-par-rows",
-            "--pool",
             "--simd",
         ],
     )?;
@@ -354,7 +340,6 @@ fn run_retrain(args: &[String]) -> Result<(), String> {
             "--has-header",
             "--threads",
             "--min-par-rows",
-            "--pool",
             "--simd",
         ],
     )?;
@@ -474,7 +459,6 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             "--workers",
             "--threads",
             "--min-par-rows",
-            "--pool",
             "--simd",
             "--keep-alive",
             "--keepalive-timeout-ms",
@@ -568,15 +552,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("local address unavailable: {e}"))?;
     eprintln!(
-        "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request \
-         ({} dispatch), keep-alive {}, batch window {}us, {} registry, watch {} \
+        "serving on http://{local} with {workers} acceptor(s), {} linalg thread(s) per request, \
+         keep-alive {}, batch window {}us, {} registry, watch {} \
          (POST /admin/reload to hot swap, Ctrl-C to stop)",
         parallel.threads,
-        if parallel.pool {
-            "persistent-pool"
-        } else {
-            "spawn-per-call"
-        },
         if options.keep_alive { "on" } else { "off" },
         batch.window.as_micros(),
         if compact { "compact" } else { "full" },
@@ -691,5 +670,85 @@ mod tests {
         // 2025-01-01T00:00:00Z and a leap-year date (2024-02-29T12:00:00Z).
         assert_eq!(iso8601_utc(1_735_689_600), "2025-01-01T00:00:00Z");
         assert_eq!(iso8601_utc(1_709_208_000), "2024-02-29T12:00:00Z");
+    }
+
+    fn flags(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn serve_defaults_to_one_thread_per_core() {
+        let cores = ParallelPolicy::auto().threads;
+        let base = ParallelPolicy::serial().with_chunk_rows(3);
+        let policy = apply_policy_flags(base, &flags(&[]), true).unwrap();
+        assert_eq!(
+            policy,
+            ParallelPolicy {
+                threads: cores,
+                ..base
+            }
+        );
+        // Through the entry point: per core unless the environment pins it.
+        let expected = match std::env::var(sls_linalg::ENV_THREADS) {
+            Ok(_) => ParallelPolicy::global().threads,
+            Err(_) => cores,
+        };
+        assert_eq!(
+            parallel_policy(&flags(&[]), true).unwrap().threads,
+            expected
+        );
+    }
+
+    #[test]
+    fn export_defaults_to_the_global_policy() {
+        assert_eq!(
+            parallel_policy(&flags(&[]), false).unwrap(),
+            ParallelPolicy::global()
+        );
+    }
+
+    #[test]
+    fn threads_flag_is_honoured() {
+        for serving in [false, true] {
+            let policy = parallel_policy(&flags(&[("threads", "3")]), serving).unwrap();
+            assert_eq!(policy.threads, 3, "serving {serving}");
+        }
+        assert!(parallel_policy(&flags(&[("threads", "x")]), false).is_err());
+    }
+
+    #[test]
+    fn env_set_fields_survive_the_threads_flag() {
+        // `base` stands in for a global policy read from
+        // SLS_PARALLEL_CHUNK_ROWS / SLS_PARALLEL_MIN_ROWS / SLS_SIMD.
+        let base = ParallelPolicy::new(2)
+            .with_min_rows_per_thread(5)
+            .with_simd(SimdPolicy::Scalar)
+            .with_chunk_rows(1);
+        for per_core in [false, true] {
+            let policy = apply_policy_flags(base, &flags(&[("threads", "3")]), per_core).unwrap();
+            assert_eq!(policy, ParallelPolicy { threads: 3, ..base });
+        }
+        let policy = apply_policy_flags(base, &flags(&[("min-par-rows", "9")]), false).unwrap();
+        assert_eq!(policy, base.with_min_rows_per_thread(9));
+    }
+
+    #[test]
+    fn pool_flag_is_rejected_as_unknown() {
+        let args: Vec<String> = ["--pool", "1"].iter().map(|s| s.to_string()).collect();
+        for run in [run_export, run_retrain, run_serve] {
+            let err = run(&args).unwrap_err();
+            assert!(err.starts_with("unknown flag `--pool`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn invalid_simd_value_errors() {
+        let err = parallel_policy(&flags(&[("simd", "x")]), false).unwrap_err();
+        assert!(err.contains("--simd"), "{err}");
+        let scalar = parallel_policy(&flags(&[("simd", "0")]), false).unwrap();
+        assert_eq!(scalar.simd, SimdPolicy::Scalar);
     }
 }

@@ -156,7 +156,7 @@ impl Server {
     /// [`ServeOptions::from_env`] and batching to [`BatchConfig::from_env`]
     /// (`SLS_BATCH_WINDOW_US` / `SLS_BATCH_MAX_ROWS`, off by default).
     ///
-    /// When the policy enables pooled dispatch, the persistent linalg
+    /// When the policy can fan out (`threads > 1`), the persistent linalg
     /// [`WorkerPool`] is constructed here, at bind time: one pool, shared
     /// by every connection for the server's lifetime.
     ///
@@ -176,7 +176,7 @@ impl Server {
     /// Returns I/O errors from binding.
     pub fn bind_live(addr: impl ToSocketAddrs, live: LiveRegistry, workers: usize) -> Result<Self> {
         let parallel = ParallelPolicy::global();
-        if parallel.pool {
+        if !parallel.is_serial() {
             let _ = WorkerPool::global();
         }
         Ok(Self {
@@ -192,11 +192,11 @@ impl Server {
 
     /// Sets the parallel execution policy for inference micro-batches
     /// (the matrix multiply behind `/features` and `/assign`). Responses
-    /// are bitwise identical for every policy. A pooled policy starts the
-    /// shared persistent [`WorkerPool`] immediately, so the first request
-    /// never pays pool construction.
+    /// are bitwise identical for every policy. A multi-thread policy starts
+    /// the shared persistent [`WorkerPool`] immediately, so the first
+    /// request never pays pool construction.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
-        if parallel.pool {
+        if !parallel.is_serial() {
             let _ = WorkerPool::global();
         }
         self.parallel = parallel;
@@ -1220,16 +1220,6 @@ mod tests {
             );
             assert_eq!(serial, parallel, "path {path}");
             assert_eq!(serial.0, 200);
-            // Persistent-pool dispatch answers the same bytes too.
-            let pooled = route_live(
-                &live,
-                &request,
-                &ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(true),
-                None,
-            );
-            assert_eq!(serial, pooled, "pooled path {path}");
         }
     }
 
@@ -1390,11 +1380,7 @@ mod tests {
         // sharing one linalg worker pool.
         let server = Server::bind("127.0.0.1:0", registry(), 2)
             .unwrap()
-            .with_parallel(
-                ParallelPolicy::new(4)
-                    .with_min_rows_per_thread(1)
-                    .with_pool(true),
-            );
+            .with_parallel(ParallelPolicy::new(4).with_min_rows_per_thread(1));
         let addr = server.local_addr().unwrap();
         let handle = server.start().unwrap();
         let client = crate::Client::new(addr);

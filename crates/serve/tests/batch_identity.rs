@@ -1,6 +1,6 @@
 //! Batcher identity suite: with the coalescing window open, concurrent
 //! clients must receive responses **bitwise identical** (`f64::to_bits`) to
-//! serial unbatched calls — across spawn/pool dispatch and SIMD on/off —
+//! serial unbatched calls — fanned out on the pool with SIMD on and off —
 //! and a mixed-model, mixed-endpoint stress run must never leak rows across
 //! requests or models.
 
@@ -122,16 +122,10 @@ fn feature_bits(body: &str) -> Vec<Vec<u64>> {
 #[test]
 fn batched_responses_are_bitwise_identical_across_policies() {
     let registry = LiveRegistry::new(registry());
-    let policies = [
-        ("spawn+simd", false, true),
-        ("spawn+scalar", false, false),
-        ("pool+simd", true, true),
-        ("pool+scalar", true, false),
-    ];
-    for (label, pool, simd) in policies {
+    let policies = [("pool+simd", true), ("pool+scalar", false)];
+    for (label, simd) in policies {
         let parallel = ParallelPolicy::new(4)
             .with_min_rows_per_thread(1)
-            .with_pool(pool)
             .with_simd(SimdPolicy::from_enabled(simd));
         let handle = start(parallel);
         let client = Client::new(handle.addr());
@@ -183,11 +177,7 @@ fn batched_responses_are_bitwise_identical_across_policies() {
 #[test]
 fn mixed_models_and_endpoints_never_leak_rows() {
     let registry = LiveRegistry::new(registry());
-    let handle = start(
-        ParallelPolicy::new(4)
-            .with_min_rows_per_thread(1)
-            .with_pool(true),
-    );
+    let handle = start(ParallelPolicy::new(4).with_min_rows_per_thread(1));
     let client = Client::new(handle.addr());
     let workers = 12usize;
     let barrier = Barrier::new(workers);
